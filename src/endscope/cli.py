@@ -293,12 +293,23 @@ def _check_certificate(obj, end: str, cert: dict) -> list:
             problems.append("certificate does not match the input")
         return problems
     if kind == "shift":
-        piece = cert.get("pieces", [{}])[0]
-        brick = Brick(
-            tuple(piece.get("prefix", ())), tuple(piece.get("period", ()))
-        )
-        return check_shift(shift(brick), depth=_depth())
+        return check_shift(shift(_shift_brick(cert)), depth=_depth())
     return [f"unknown certificate kind: {kind!r}"]
+
+
+def _shift_brick(cert: dict) -> Brick:
+    """The brick of a shift certificate; malformed ones are input errors."""
+    pieces = cert.get("pieces")
+    if not (isinstance(pieces, list) and pieces and isinstance(pieces[0], dict)):
+        raise _CliError("bad shift certificate: 'pieces' must hold one brick", EXIT_INPUT)
+    words = [pieces[0].get(key, []) for key in ("prefix", "period")]
+    # bool and float entries compare equal to 0 and 1, so test the type too
+    if not all(isinstance(w, list) and all(type(b) is int for b in w) for w in words):
+        raise _CliError("bad shift certificate: prefix and period must be lists of bits", EXIT_INPUT)
+    try:
+        return Brick(*map(tuple, words))
+    except ValueError as e:
+        raise _CliError(f"bad shift certificate: {e}", EXIT_INPUT)
 
 
 def _cmd_certify(args) -> int:
@@ -309,6 +320,8 @@ def _cmd_certify(args) -> int:
                 cert = json.loads(_read(args.check))
             except json.JSONDecodeError as e:
                 raise _CliError(f"bad certificate file: {e}", EXIT_INPUT)
+            if not isinstance(cert, dict):
+                raise _CliError("bad certificate file: not a JSON object", EXIT_INPUT)
             problems = _check_certificate(obj, args.end, cert)
             if problems:
                 for p in problems:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .normalize import _absorb_pass, normalize_structural
 from .ordinals import Cnf, ONE, ZERO, add, cmp, print_cnf
@@ -91,21 +92,22 @@ class GermTable:
     origin: str = DERIVED
     surface: bool = False
 
+    @cached_property
+    def by_id(self) -> dict:
+        return {c.id: c for c in self.classes}
+
     def row(self, cid: str) -> GermClass:
-        for c in self.classes:
-            if c.id == cid:
-                return c
-        raise UnknownClass(cid)
+        try:
+            return self.by_id[cid]
+        except KeyError:
+            raise UnknownClass(cid) from None
 
     def ids(self) -> list:
         return [c.id for c in self.classes]
 
-    @property
+    @cached_property
     def family_row(self):
-        for c in self.classes:
-            if c.family:
-                return c
-        return None
+        return next((c for c in self.classes if c.family), None)
 
 
 def kind_finite(n: int) -> str:
@@ -466,16 +468,15 @@ def _interior_ids(g: Term, rows, bound) -> set:
 
 
 def _close(pairs: set) -> set:
-    pairs = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(pairs):
-            for (c, d) in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-    return pairs
+    """Transitive closure, by Warshall's algorithm over successor sets."""
+    succ = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    for k, via in succ.items():
+        for out in succ.values():
+            if k in out:
+                out |= via
+    return {(a, b) for a, out in succ.items() for b in out}
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +504,7 @@ def absorbable(a: Term, b: Term) -> bool:
             if fam_b is not None and cmp(row.rank, fam_b.family_bound) < 0:
                 continue  # family members accumulate along the rank chain
             rid = _rank_id(row.rank)
-            if any(r.id == rid for r in tb.classes) and rid in acc_sources:
+            if rid in tb.by_id and rid in acc_sources:
                 continue
             return False
         match = None
@@ -526,9 +527,9 @@ def absorbable(a: Term, b: Term) -> bool:
 
 def _resolve(table: GermTable, cid: str):
     """A row, or ("member", rank) for an instantiated family member id."""
-    for r in table.classes:
-        if r.id == cid:
-            return r
+    r = table.by_id.get(cid)
+    if r is not None:
+        return r
     fam = table.family_row
     if fam is not None and table.origin == DERIVED:
         m = re.fullmatch(r"rank\((.*)\)", cid)
@@ -548,8 +549,6 @@ def _pair_leq(table: GermTable, y, x) -> bool:
     ym = isinstance(y, tuple)
     xm = isinstance(x, tuple)
     if not ym and not xm:
-        if table.origin == USER or y.germ is None or x.germ is None:
-            return (y.id, x.id) in table.leq
         return (y.id, x.id) in table.leq
     yr = y[1] if ym else None
     xr = x[1] if xm else None

@@ -10,6 +10,7 @@ the checker replays every obligation at a finite depth.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -316,31 +317,31 @@ class Brick:
         return bool(self.period[(i - len(self.prefix)) % len(self.period)])
 
     def elements(self, count: int) -> list:
-        out, i = [], 0
-        while len(out) < count:
-            if self.member(i):
-                out.append(i)
-            i += 1
-        return out
+        return [self.select(n, 1) for n in range(count)]
 
-    def co_elements(self, count: int) -> list:
-        out, i = [], 0
-        while len(out) < count:
-            if not self.member(i):
-                out.append(i)
-            i += 1
-        return out
+    def count_below(self, x: int, bit: int) -> int:
+        """How many indices i < x carry `bit`."""
+        head = self.prefix[:x].count(bit)
+        if x <= len(self.prefix):
+            return head
+        rounds, rest = divmod(x - len(self.prefix), len(self.period))
+        return head + rounds * self.period.count(bit) + self.period[:rest].count(bit)
+
+    def select(self, n: int, bit: int) -> int:
+        """The n-th index (from 0) that carries `bit`."""
+        head = [i for i, b in enumerate(self.prefix) if b == bit]
+        if n < len(head):
+            return head[n]
+        hits = [i for i, b in enumerate(self.period) if b == bit]
+        rounds, rest = divmod(n - len(head), len(hits))
+        return len(self.prefix) + rounds * len(self.period) + hits[rest]
 
 
 def _unpair(j: int):
     """Inverse Cantor pairing: j -> (u, q)."""
-    w = 0
-    while (w + 1) * (w + 2) // 2 <= j:
-        w += 1
-    t = w * (w + 1) // 2
-    u = j - t
-    q = w - u
-    return u, q
+    w = (math.isqrt(8 * j + 1) - 1) // 2
+    u = j - w * (w + 1) // 2
+    return u, w - u
 
 
 def _pair(u: int, q: int) -> int:
@@ -364,16 +365,14 @@ class ShiftRecipe:
     def coords(self, x: int):
         """Position (row, column) of index x; the brick occupies row 0."""
         if self.brick.member(x):
-            return (0, sum(1 for i in range(x) if self.brick.member(i)))
-        j = sum(1 for i in range(x) if not self.brick.member(i))
-        u, q = _unpair(j)
+            return (0, self.brick.count_below(x, 1))
+        u, q = _unpair(self.brick.count_below(x, 0))
         return (_row_of_u(u), q)
 
     def index_at(self, row: int, col: int) -> int:
         if row == 0:
-            return self.brick.elements(col + 1)[-1]
-        j = _pair(_u_of_row(row), col)
-        return self.brick.co_elements(j + 1)[-1]
+            return self.brick.select(col, 1)
+        return self.brick.select(_pair(_u_of_row(row), col), 0)
 
     def sigma(self, x: int, power: int = 1) -> int:
         row, col = self.coords(x)

@@ -23,6 +23,7 @@ Contents:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class BadSupport(ValueError):
@@ -91,11 +92,12 @@ class SlotWord:
 
     assignment: tuple  # sorted tuple of (slot, word) pairs, words nonempty
 
+    @cached_property
+    def _words(self) -> dict:
+        return dict(self.assignment)
+
     def word_at(self, slot: int) -> tuple:
-        for s, w in self.assignment:
-            if s == slot:
-                return w
-        return ()
+        return self._words.get(slot, ())
 
     def support(self) -> tuple:
         return tuple(s for s, _ in self.assignment)

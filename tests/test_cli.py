@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from endscope.cli import run
 from endscope.examples_builtin import EXAMPLES
 from endscope.parser import parse
@@ -153,3 +155,35 @@ def test_depth_env_rejects_garbage(tmp_path, monkeypatch):
     f = _write(tmp_path, "ml", EXAMPLES["mona-lisa"])
     monkeypatch.setenv("ENDSCOPE_DEPTH", "soon")
     assert run(["certify", f, "--end", "mix(cantor(),cantor^g();g)"]) == 64
+
+
+@pytest.mark.parametrize("cert", [
+    [],
+    {"kind": "shift"},
+    {"kind": "shift", "pieces": []},
+    {"kind": "shift", "pieces": [5]},
+    {"kind": "shift", "pieces": [{"prefix": [], "period": [1]}]},
+    {"kind": "shift", "pieces": [{"prefix": [], "period": [0, 0]}]},
+    {"kind": "shift", "pieces": [{"prefix": [1], "period": []}]},
+    {"kind": "shift", "pieces": [{"prefix": "10", "period": [1, 0]}]},
+    {"kind": "shift", "pieces": [{"prefix": [], "period": 10}]},
+    {"kind": "shift", "pieces": [{"prefix": [2], "period": [1, 0]}]},
+    {"kind": "shift", "pieces": [{"prefix": [], "period": [1, "0"]}]},
+    {"kind": "shift", "pieces": [{"prefix": [True], "period": [1, 0]}]},
+    {"kind": "shift", "pieces": [{"prefix": [], "period": [1, 0.0]}]},
+])
+def test_malformed_certificate_is_an_input_error(tmp_path, capsys, cert):
+    f = _write(tmp_path, "pt.txt", "pt")
+    c = _write(tmp_path, "cert.json", json.dumps(cert))
+    assert run(["certify", f, "--end", "rank(0)", "--check", c]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("endscope: bad ") and err.count("\n") == 1
+
+
+def test_shift_certificate_replays(tmp_path, capsys):
+    f = _write(tmp_path, "pt.txt", "pt")
+    cert = {"kind": "shift", "pieces": [{"prefix": [1, 1, 0], "period": [1, 0, 0]}]}
+    c = _write(tmp_path, "cert.json", json.dumps(cert))
+    assert run(["certify", f, "--end", "rank(0)", "--check", c]) == 0
+    assert capsys.readouterr().out == "certificate ok\n"

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalog import catalog, random_term
 from endscope.examples_builtin import EXAMPLES
@@ -10,6 +12,7 @@ from endscope.germs import (
     NotSuccessor,
     Successor,
     UnknownClass,
+    _close,
     cantor_type,
     derive_table,
     dominates,
@@ -174,3 +177,35 @@ def test_builtin_germ_table_examples_load():
         t = from_json(json.loads(EXAMPLES[name]))
         assert t.surface
         assert t.origin == "user-supplied"
+
+
+def _fixpoint_close(pairs) -> set:
+    """Reference transitive closure: compose pairs until nothing is added."""
+    pairs = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(pairs):
+            for (c, d) in list(pairs):
+                if b == c and (a, d) not in pairs:
+                    pairs.add((a, d))
+                    changed = True
+    return pairs
+
+
+_IDS = st.integers(0, 11).map(lambda i: f"c{i}")
+
+
+@settings(max_examples=300)
+@given(st.sets(st.tuples(_IDS, _IDS), max_size=60))
+def test_close_matches_fixpoint_closure(pairs):
+    assert _close(pairs) == _fixpoint_close(pairs)
+
+
+def test_row_index_matches_scan():
+    for term in catalog() + [parse_term("ord(w^(w))"), parse_term("mix(ord(w^(w)),pt^g;g)")]:
+        table = derive_table(term)
+        for r in table.classes:
+            assert table.row(r.id) is r
+    assert derive_table(parse_term("ord(w^(w))")).family_row.id == "rank(*)"
+    assert derive_table(parse_term("ord(w^(3))")).family_row is None

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalog import catalog
 from endscope.examples_builtin import EXAMPLES
@@ -16,6 +18,9 @@ from endscope.stability import (
     Stable,
     Unknown,
     Unstable,
+    _pair,
+    _row_of_u,
+    _unpair,
     annuli,
     annuli_certificate,
     build_shrink_witness,
@@ -196,3 +201,59 @@ def test_certificates_are_json_ready():
     assert c3["kind"] == "shift"
     for cert in (c1, c2, c3):
         json.dumps(cert)  # must serialize without custom encoders
+
+
+def _unpair_by_search(j: int):
+    """Reference inverse Cantor pairing: the largest diagonal w with
+    w(w+1)/2 <= j, found by counting up."""
+    w = 0
+    while (w + 1) * (w + 2) // 2 <= j:
+        w += 1
+    u = j - w * (w + 1) // 2
+    return u, w - u
+
+
+def test_unpair_matches_search():
+    for j in range(5000):
+        assert _unpair(j) == _unpair_by_search(j)
+        assert _pair(*_unpair(j)) == j
+
+
+_BITS = st.lists(st.integers(0, 1), max_size=8)
+_PERIODS = st.lists(st.integers(0, 1), min_size=2, max_size=8).filter(
+    lambda p: 0 in p and 1 in p
+)
+_WINDOW = 2000
+
+
+@settings(max_examples=60)
+@given(_BITS, _PERIODS)
+def test_brick_rank_and_select_match_enumeration(prefix, period):
+    b = Brick(tuple(prefix), tuple(period))
+    seen = {0: [], 1: []}
+    for x in range(_WINDOW):
+        assert b.count_below(x, 0) == len(seen[0])
+        assert b.count_below(x, 1) == len(seen[1])
+        seen[int(b.member(x))].append(x)
+    for bit in (0, 1):
+        assert [b.select(n, bit) for n in range(len(seen[bit]))] == seen[bit]
+    assert b.elements(len(seen[1])) == seen[1]
+
+
+@settings(max_examples=60)
+@given(_BITS, _PERIODS)
+def test_shift_coords_match_enumeration(prefix, period):
+    b = Brick(tuple(prefix), tuple(period))
+    recipe = shift(b)
+    members = [x for x in range(_WINDOW) if b.member(x)]
+    gaps = [x for x in range(_WINDOW) if not b.member(x)]
+    for col, x in enumerate(members):
+        assert recipe.coords(x) == (0, col)
+        assert recipe.index_at(0, col) == x
+    for j, x in enumerate(gaps):
+        u, q = _unpair_by_search(j)
+        row = _row_of_u(u)
+        assert recipe.coords(x) == (row, q)
+        assert recipe.index_at(row, q) == x
+    for x in range(_WINDOW):
+        assert recipe.index_at(*recipe.coords(x)) == x

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from endscope.swindle import (
     EMPTY,
@@ -181,3 +183,14 @@ def test_check_fragment_rejects_overlap():
     assert check_fragment(f, g, h)  # h is trivial, no overlap
     h_bad = SlotMap(slot_word({0: (5,)}))
     assert not check_fragment(f, g, h_bad)
+
+
+_WORDS = st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=4)
+
+
+@given(st.dictionaries(st.integers(-40, 40), _WORDS, max_size=20))
+def test_word_at_matches_scan(mapping):
+    sw = slot_word(mapping)
+    for s in range(-45, 46):
+        scanned = next((w for slot, w in sw.assignment if slot == s), ())
+        assert sw.word_at(s) == scanned
