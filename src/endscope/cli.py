@@ -58,7 +58,7 @@ from .terms import (
     pretty_surface,
 )
 from .verdict import constants as exponent_dag
-from .verdict import stone_verdict, surface_verdict, telescoping
+from .verdict import stone_verdict, surface_verdict
 
 EXIT_USAGE = 64
 EXIT_INPUT = 65
@@ -126,11 +126,12 @@ def _emit_json(doc) -> None:
 # reports
 
 
-def _class_entries(table: GermTable, surface: bool) -> list:
-    maximal = set(maximal_classes(table))
+def _class_entries(table: GermTable, per_class) -> list:
+    """One report row per class; `per_class` is the verdict's telescoping
+    result for each row of `table`, in table order."""
+    maximal = maximal_classes(table)
     out = []
-    for r in table.classes:
-        tl = telescoping(table, r.id, surface_context=surface)
+    for r, tl in zip(table.classes, per_class):
         st = stable_nbhd(table, r.id)
         entry = {
             "id": r.id,
@@ -169,7 +170,7 @@ def _report(text: str, obj) -> dict:
         "input": text,
         "input_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "normalized": normalized,
-        "classes": _class_entries(table, surface),
+        "classes": _class_entries(table, v.per_class),
         "verdict": {"ac": v.ac, "basis": v.basis, "witness": v.witness},
         "notes": list(v.notes),
     }

@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .normalize import _absorb_pass, normalize_structural
 from .ordinals import Cnf, ONE, ZERO, add, cmp, print_cnf
-from .parser import parse_cnf
+from .parser import LexError, ParseError, parse_cnf
 from .terms import (
     Cantor,
     Color,
@@ -93,12 +93,25 @@ class GermTable:
     surface: bool = False
 
     @cached_property
-    def by_id(self) -> dict:
-        return {c.id: c for c in self.classes}
+    def position(self) -> dict:
+        """Class id -> index of its row in `classes`."""
+        return {c.id: i for i, c in enumerate(self.classes)}
+
+    @cached_property
+    def strict_up(self) -> tuple:
+        """Per row, a bitmask over row indices of the classes strictly above
+        it in `leq`. Built on first use, so only tables that are queried
+        carry it."""
+        pos = self.position
+        up = [0] * len(self.classes)
+        for y, x in self.leq:
+            if y != x and (x, y) not in self.leq:
+                up[pos[y]] |= 1 << pos[x]
+        return tuple(up)
 
     def row(self, cid: str) -> GermClass:
         try:
-            return self.by_id[cid]
+            return self.classes[self.position[cid]]
         except KeyError:
             raise UnknownClass(cid) from None
 
@@ -504,7 +517,7 @@ def absorbable(a: Term, b: Term) -> bool:
             if fam_b is not None and cmp(row.rank, fam_b.family_bound) < 0:
                 continue  # family members accumulate along the rank chain
             rid = _rank_id(row.rank)
-            if rid in tb.by_id and rid in acc_sources:
+            if rid in tb.position and rid in acc_sources:
                 continue
             return False
         match = None
@@ -527,9 +540,9 @@ def absorbable(a: Term, b: Term) -> bool:
 
 def _resolve(table: GermTable, cid: str):
     """A row, or ("member", rank) for an instantiated family member id."""
-    r = table.by_id.get(cid)
-    if r is not None:
-        return r
+    i = table.position.get(cid)
+    if i is not None:
+        return table.classes[i]
     fam = table.family_row
     if fam is not None and table.origin == DERIVED:
         m = re.fullmatch(r"rank\((.*)\)", cid)
@@ -570,16 +583,20 @@ def dominates(table: GermTable, y: str, x: str) -> bool:
 
 
 def maximal_classes(table: GermTable) -> set:
-    out = set()
-    for r in table.classes:
-        strict_above = any(
-            (r.id, o.id) in table.leq and (o.id, r.id) not in table.leq
-            for o in table.classes
-            if o.id != r.id
-        )
-        if not strict_above:
-            out.add(r.id)
-    return out
+    return {r.id for r, up in zip(table.classes, table.strict_up) if not up}
+
+
+def _strictly_below(table: GermTable, r: GermClass) -> list:
+    """Indices of the rows strictly below row r, in table order."""
+    bit = 1 << table.position[r.id]
+    return [i for i, up in enumerate(table.strict_up) if up & bit]
+
+
+def _maximal_among(table: GermTable, below: list) -> list:
+    """The rows of `below` (indices) with no row of `below` strictly above."""
+    mask = sum(1 << i for i in below)
+    up = table.strict_up
+    return [table.classes[i] for i in below if not up[i] & mask]
 
 
 def cantor_type(table: GermTable, x: str) -> bool:
@@ -614,38 +631,18 @@ def predecessors(table: GermTable, x: str):
 
 
 def _predecessors_user(table: GermTable, r: GermClass):
-    below = [
-        z
-        for z in table.classes
-        if z.id != r.id
-        and (z.id, r.id) in table.leq
-        and (r.id, z.id) not in table.leq
-    ]
+    below = _strictly_below(table, r)
     if not below:
         return NotSuccessor("no classes below")
-    maximal = [
-        z
-        for z in below
-        if not any(
-            (z.id, o.id) in table.leq and (o.id, z.id) not in table.leq
-            for o in below
-            if o.id != z.id
-        )
-    ]
+    maximal = _maximal_among(table, below)
     if any(z.family for z in maximal):
         return NotSuccessor("infinitely many pairwise incomparable classes below")
     return Successor(tuple(sorted(z.id for z in maximal)))
 
 
 def _predecessors_derived(table: GermTable, r: GermClass):
-    rows_below = [
-        z
-        for z in table.classes
-        if not z.family
-        and z.id != r.id
-        and (z.id, r.id) in table.leq
-        and (r.id, z.id) not in table.leq
-    ]
+    below = [i for i in _strictly_below(table, r) if not table.classes[i].family]
+    rows_below = [table.classes[i] for i in below]
     fam = table.family_row
     member_cap = None
     if fam is not None and not r.family:
@@ -653,7 +650,6 @@ def _predecessors_derived(table: GermTable, r: GermClass):
         if c is not None:
             hi = add(c, ONE)  # members b <= cap embed
             member_cap = hi if cmp(hi, fam.family_bound) < 0 else fam.family_bound
-    candidates = list(rows_below)
     extra_member = None
     if member_cap is not None and not member_cap.is_zero():
         covered = any(
@@ -669,26 +665,14 @@ def _predecessors_derived(table: GermTable, r: GermClass):
                 return NotSuccessor(
                     "limit rank family below with no covering class"
                 )
-    if not candidates and extra_member is None:
+    if not rows_below and extra_member is None:
         return NotSuccessor("no classes below")
-
-    def leq_cand(a, b) -> bool:
-        ra = ("member", a) if isinstance(a, Cnf) else a
-        rb = ("member", b) if isinstance(b, Cnf) else b
-        return _pair_leq(table, ra, rb)
-
-    pool = candidates + ([extra_member] if extra_member is not None else [])
-    maximal = [
-        c
-        for c in pool
-        if not any(
-            leq_cand(c, o) and not leq_cand(o, c) for o in pool if o is not c
-        )
-    ]
-    ids = sorted(
-        _rank_id(m) if isinstance(m, Cnf) else m.id for m in maximal
-    )
-    return Successor(tuple(ids))
+    ids = [z.id for z in _maximal_among(table, below)]
+    if extra_member is not None:
+        # maximal and incomparable to every row: no row covers it, and the
+        # rows of rank below the family bound are folded into the family
+        ids.append(_rank_id(extra_member))
+    return Successor(tuple(sorted(ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -719,37 +703,38 @@ _COLORS = {"planar": Color.PLANAR, "genus": Color.GENUS}
 
 
 def from_json(doc: dict) -> GermTable:
-    if not isinstance(doc, dict) or "classes" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("classes"), list):
         raise ValidationError("germ table document needs a 'classes' list")
     if not doc["classes"]:
         raise ValidationError("germ table needs at least one class")
+    leq, accs = _pairs(doc, "leq"), _pairs(doc, "acc")
     rows = []
     ids = set()
     for entry in doc["classes"]:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"class entries must be objects, not {type(entry).__name__}")
         cid = entry.get("id")
         kind = entry.get("kind", "")
         color = entry.get("color")
         if not isinstance(cid, str) or cid in ids:
             raise ValidationError(f"bad or duplicate class id {cid!r}")
         ids.add(cid)
-        if kind not in (KIND_COUNTABLE, KIND_CANTOR) and not re.fullmatch(
-            r"finite\([1-9]\d*\)", kind
+        if not isinstance(kind, str) or (
+            kind not in (KIND_COUNTABLE, KIND_CANTOR)
+            and not re.fullmatch(r"finite\([1-9]\d*\)", kind)
         ):
             raise ValidationError(f"bad kind {kind!r} for class {cid}")
-        if color not in _COLORS:
+        if not isinstance(color, str) or color not in _COLORS:
             raise ValidationError(f"bad color {color!r} for class {cid}")
-        bound = entry.get("family_bound")
         rows.append(
             GermClass(
                 cid,
                 kind,
                 _COLORS[color],
                 family=bool(entry.get("family")),
-                family_bound=parse_cnf(bound) if bound else None,
+                family_bound=_family_bound(entry.get("family_bound"), cid),
             )
         )
-    leq = {(y, x) for y, x in doc.get("leq", [])}
-    accs = {(z, x) for z, x in doc.get("acc", [])}
     for pair in leq | accs:
         for cid in pair:
             if cid not in ids:
@@ -770,3 +755,24 @@ def from_json(doc: dict) -> GermTable:
         origin=doc.get("origin", USER),
         surface=bool(doc.get("surface")),
     )
+
+
+def _pairs(doc: dict, key: str) -> set:
+    pairs = doc.get(key, [])
+    if isinstance(pairs, list) and all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)
+        for p in pairs
+    ):
+        return {(y, x) for y, x in pairs}
+    raise ValidationError(f"'{key}' must be a list of [class id, class id] pairs")
+
+
+def _family_bound(bound, cid: str):
+    if not bound:
+        return None
+    if not isinstance(bound, str):
+        raise ValidationError(f"bad family_bound {bound!r} for class {cid}")
+    try:
+        return parse_cnf(bound)
+    except (ParseError, LexError) as e:
+        raise ValidationError(f"bad family_bound {bound!r} for class {cid}: {e}") from None

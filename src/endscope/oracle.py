@@ -44,10 +44,10 @@ class Truncation:
 
 
 def truncate(t: Term, depth: int) -> Truncation:
-    return Truncation(depth, _forest(t, depth))
+    return Truncation(depth, _forest(t, depth, {}))
 
 
-def _forest(t: Term, d: int) -> list:
+def _forest(t: Term, d: int, memo: dict) -> list:
     if isinstance(t, Pt):
         return [TrNode(t.color, "point")]
     if isinstance(t, Ord):
@@ -58,60 +58,52 @@ def _forest(t: Term, d: int) -> list:
         if d > 0:
             node = TrNode(t.limit_color, "point")
         else:
+            colors, iso, dust = _hidden(t, memo)
             node = TrNode(
                 t.limit_color,
                 "deep",
-                hidden_colors=_t_colors(t),
-                hidden_iso=_t_iso(t),
-                hidden_dust=_t_dust(t),
+                hidden_colors=colors,
+                hidden_iso=iso,
+                hidden_dust=dust,
             )
         distinct = _distinct(t.components)
         for _ in range(d):
             node.groups.append(
-                [n for c in distinct for n in _forest(c, d - 1)]
+                [n for c in distinct for n in _forest(c, d - 1, memo)]
             )
         return [node]
     if isinstance(t, Cantor):
-        return [_cantor_node(_distinct(t.components), t.color, d)]
+        return [_cantor_node(_distinct(t.components), t.color, d, memo)]
     out = []
     for p in t.parts:
-        out.extend(_forest(p, d))
+        out.extend(_forest(p, d, memo))
     return out
 
 
-def _t_colors(t: Term) -> frozenset:
+def _hidden(t: Term, memo: dict) -> tuple:
+    """What a clopen copy of t holds below a cut: every color present, the
+    colors of isolated points, and whether Cantor dust occurs. `memo` keeps
+    the answers of one truncation, where the same subterms recur."""
+    out = memo.get(t)
+    if out is not None:
+        return out
     if isinstance(t, Pt):
-        return frozenset((t.color,))
-    if isinstance(t, Ord):
-        return frozenset((Color.PLANAR,))
-    if isinstance(t, Mix):
-        return frozenset((t.limit_color,)).union(*map(_t_colors, t.components))
-    if isinstance(t, Cantor):
-        return frozenset((t.color,)).union(
-            frozenset(), *map(_t_colors, t.components)
-        )
-    return frozenset().union(*map(_t_colors, t.parts))
-
-
-def _t_dust(t: Term) -> bool:
-    if isinstance(t, Cantor):
-        return True
-    if isinstance(t, Mix):
-        return any(_t_dust(c) for c in t.components)
-    if isinstance(t, Sum):
-        return any(_t_dust(p) for p in t.parts)
-    return False
-
-
-def _t_iso(t: Term) -> frozenset:
-    """Colors of points isolated inside a clopen copy of t."""
-    if isinstance(t, Pt):
-        return frozenset((t.color,))
-    if isinstance(t, Ord):
-        return frozenset((Color.PLANAR,))
-    if isinstance(t, (Mix, Cantor)):
-        return frozenset().union(frozenset(), *map(_t_iso, t.components))
-    return frozenset().union(*map(_t_iso, t.parts))
+        out = (frozenset((t.color,)), frozenset((t.color,)), False)
+    elif isinstance(t, Ord):
+        planar = frozenset((Color.PLANAR,))
+        out = (planar, planar, False)
+    else:
+        kids = [_hidden(k, memo) for k in (t.parts if isinstance(t, Sum) else t.components)]
+        colors = frozenset().union(*(k[0] for k in kids))
+        iso = frozenset().union(*(k[1] for k in kids))
+        dust = any(k[2] for k in kids)
+        if isinstance(t, Mix):
+            colors |= {t.limit_color}
+        elif isinstance(t, Cantor):
+            colors, dust = colors | {t.color}, True
+        out = (colors, iso, dust)
+    memo[t] = out
+    return out
 
 
 def _distinct(comps):
@@ -139,24 +131,21 @@ def _ord_node(rank: Cnf, budget: int) -> TrNode:
     return node
 
 
-def _cantor_node(distinct_comps, color: Color, d: int) -> TrNode:
+def _cantor_node(distinct_comps, color: Color, d: int, memo: dict) -> TrNode:
     if d <= 0:
+        hidden = [_hidden(c, memo) for c in distinct_comps]
         return TrNode(
             color,
             "dust",
-            hidden_colors=frozenset((color,)).union(
-                frozenset(), *map(_t_colors, distinct_comps)
-            ),
-            hidden_iso=frozenset().union(
-                frozenset(), *map(_t_iso, distinct_comps)
-            ),
+            hidden_colors=frozenset((color,)).union(*(h[0] for h in hidden)),
+            hidden_iso=frozenset().union(*(h[1] for h in hidden)),
         )
     node = TrNode(color, "dust")
     if d > 0:
-        node.groups.append([_cantor_node(distinct_comps, color, d - 1)])
-        node.groups.append([_cantor_node(distinct_comps, color, d - 1)])
+        node.groups.append([_cantor_node(distinct_comps, color, d - 1, memo)])
+        node.groups.append([_cantor_node(distinct_comps, color, d - 1, memo)])
         node.groups.append(
-            [n for c in distinct_comps for n in _forest(c, d - 1)]
+            [n for c in distinct_comps for n in _forest(c, d - 1, memo)]
         )
     return node
 
@@ -209,26 +198,24 @@ def cb_bruteforce(tr: Truncation) -> list:
     """Repeatedly delete isolated sample points; return surviving counts.
 
     The initial count is included; the run stops at 0 or when only opaque
-    nodes survive.
+    nodes survive. The truncation is pruned in place.
     """
-    alive = _flatten(tr.roots)
+    return _cb_counts(_flatten(tr.roots))
+
+
+def _cb_counts(alive: list) -> list:
     if any(n.mark == "dust" for n in alive):
         raise NotCountable("truncation contains Cantor dust")
     counts = [len(alive)]
     while alive:
         # a point is isolated at this stage once all its children are gone
-        keep = [n for n in alive if not (n.mark == "point" and not n.children)]
-        removed_now = {id(n) for n in alive} - {id(n) for n in keep}
-        if not removed_now:
+        removed = {id(n) for n in alive if n.mark == "point" and not any(n.groups)}
+        if not removed:
             break  # stalled on deep markers
         # prune deleted children from survivors
-        alive = keep
+        alive = [n for n in alive if id(n) not in removed]
         for n in alive:
-            n_groups = []
-            for grp in n.groups:
-                grp2 = [c for c in grp if id(c) not in removed_now]
-                n_groups.append(grp2)
-            n.groups = n_groups
+            n.groups = [[c for c in grp if id(c) not in removed] for grp in n.groups]
         counts.append(len(alive))
     return counts
 
@@ -239,7 +226,8 @@ def _flatten(roots) -> list:
     while stack:
         n = stack.pop()
         out.append(n)
-        stack.extend(n.children)
+        for grp in n.groups:
+            stack.extend(grp)
     return out
 
 
@@ -249,58 +237,50 @@ def _flatten(roots) -> list:
 
 def bundle(t: Term, depth: int) -> dict:
     """Robust invariants of the depth-`depth` truncation of t."""
-    tr = truncate(t, depth)
-    nodes = _flatten(tr.roots)
-    out = {
-        "colors": sorted(str(c) for c in _colors(tr.roots)),
-        "perfect_kernel": any(
-            n.mark == "dust" or n.hidden_dust for n in nodes
-        ),
-        "deep": any(n.mark == "deep" for n in nodes),
-        "hidden_isolated": sorted(
-            str(c) for c in frozenset().union(*(n.hidden_iso for n in nodes))
-        )
-        if nodes
-        else [],
-    }
-    iso_now = _isolated_counts(tr.roots)
-    if depth >= 1:
-        iso_prev = _isolated_counts(truncate(t, depth - 1).roots)
-    else:
+    iso_prev = _bundle(t, depth - 1, None)[1] if depth >= 1 else None
+    return _bundle(t, depth, iso_prev)[0]
+
+
+def _bundle(t: Term, depth: int, iso_prev):
+    """The bundle of t at `depth` and its isolated-point counts, from one
+    walk over one truncation; `iso_prev` holds the counts at depth - 1, or
+    None at depth 0. The brute-force derivative runs last, since it prunes
+    the tree."""
+    nodes = _flatten(truncate(t, depth).roots)
+    colors, hidden_iso, iso_now = set(), set(), {}
+    perfect_kernel = deep = False
+    for n in nodes:
+        colors.add(n.color)
+        colors |= n.hidden_colors
+        hidden_iso |= n.hidden_iso
+        if n.mark == "dust" or n.hidden_dust:
+            perfect_kernel = True
+        if n.mark == "deep":
+            deep = True
+        elif n.mark == "point" and not any(n.groups):
+            key = str(n.color)
+            iso_now[key] = iso_now.get(key, 0) + 1
+    if iso_prev is None:
         iso_prev = iso_now
-    out["isolated"] = {
-        color: (iso_now[color] if iso_now[color] == iso_prev.get(color, 0) else "growing")
-        for color in iso_now
+    out = {
+        "colors": sorted(str(c) for c in colors),
+        "perfect_kernel": perfect_kernel,
+        "deep": deep,
+        "hidden_isolated": sorted(str(c) for c in hidden_iso),
+        "isolated": {
+            color: (count if count == iso_prev.get(color, 0) else "growing")
+            for color, count in iso_now.items()
+        },
+        "derivative": None,
     }
-    if not out["perfect_kernel"] and out["colors"] in ([], ["planar"]):
-        counts = cb_bruteforce(truncate(t, depth))
-        stalled = counts[-1] != 0
-        final = next((c for c in reversed(counts) if c != 0), 0)
+    if not perfect_kernel and out["colors"] in ([], ["planar"]):
+        counts = _cb_counts(nodes)
         out["derivative"] = {
             "rounds": len(counts) - 1,
-            "final_nonzero": final,
-            "stalled": stalled,
+            "final_nonzero": next((c for c in reversed(counts) if c != 0), 0),
+            "stalled": counts[-1] != 0,
         }
-    else:
-        out["derivative"] = None
-    return out
-
-
-def _colors(roots) -> set:
-    out = set()
-    for n in _flatten(roots):
-        out.add(n.color)
-        out |= n.hidden_colors
-    return out
-
-
-def _isolated_counts(roots) -> dict:
-    out = {}
-    for n in _flatten(roots):
-        if n.mark == "point" and not n.children:
-            key = str(n.color)
-            out[key] = out.get(key, 0) + 1
-    return out
+    return out, iso_now
 
 
 def equiv_invariants(a: Term, b: Term, depth: int):
@@ -312,8 +292,10 @@ def equiv_invariants(a: Term, b: Term, depth: int):
     deficit on a side that carries unexpanded deep markers is skipped too
     (the missing points may sit below the depth budget).
     """
+    iso_a = iso_b = None
     for d in range(depth + 1):
-        ba, bb = bundle(a, d), bundle(b, d)
+        ba, iso_a = _bundle(a, d, iso_a)
+        bb, iso_b = _bundle(b, d, iso_b)
         if ba["perfect_kernel"] != bb["perfect_kernel"]:
             return (
                 "differ",

@@ -7,7 +7,7 @@ The empty sum is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 
 
@@ -16,11 +16,20 @@ class OrdinalError(ArithmeticError):
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cnf:
-    """Ordinal in Cantor normal form: tuple of (exponent, coefficient) pairs."""
+    """Ordinal in Cantor normal form: tuple of (exponent, coefficient) pairs.
+
+    Immutable, so the hash (that of the generated dataclass `__hash__`) is
+    computed once, when the ordinal is built, and the rendering of
+    `print_cnf` the first time it is asked for."""
 
     summands: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    _text: str = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __post_init__(self):
         for exp, coeff in self.summands:
@@ -32,6 +41,7 @@ class Cnf:
         for a, b in zip(exps, exps[1:]):
             if cmp(a, b) <= 0:
                 raise OrdinalError("exponents must be strictly decreasing")
+        object.__setattr__(self, "_hash", hash((self.summands,)))
 
     # -- predicates ------------------------------------------------------
 
@@ -163,6 +173,14 @@ def fundamental(a: Cnf, k: int) -> Cnf:
 
 def print_cnf(a: Cnf) -> str:
     """Render in the term-grammar cnf syntax: w^(e)*c summands joined by +."""
+    text = a._text
+    if text is None:
+        text = _render(a)
+        object.__setattr__(a, "_text", text)
+    return text
+
+
+def _render(a: Cnf) -> str:
     if a.is_zero():
         return "0"
     out = []

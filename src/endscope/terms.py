@@ -50,32 +50,90 @@ class NotAllPlanar(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+# Terms are immutable and shared, so each one computes its hash and size once,
+# when it is built, and its rendering the first time `pretty` asks. The hash is
+# the one the generated dataclass `__hash__` gives, hash(tuple of fields), so
+# the order of sets and dicts of terms does not change.
+_CACHE = dict(init=False, repr=False, compare=False)
+
+
+def _seal(t, fields: tuple, size: int) -> None:
+    object.__setattr__(t, "_hash", hash(fields))
+    object.__setattr__(t, "_size", size)
+
+
+def _cached_hash(t) -> int:
+    return t._hash
+
+
+@dataclass(frozen=True, slots=True)
 class Pt:
     color: Color = Color.PLANAR
+    _hash: int = field(**_CACHE)
+    _size: int = field(**_CACHE)
+    _text: str = field(default=None, **_CACHE)
+
+    def __post_init__(self):
+        _seal(self, (self.color,), 1)
+
+    __hash__ = _cached_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ord:
     rank: Cnf
     degree: int
+    _hash: int = field(**_CACHE)
+    _size: int = field(**_CACHE)
+    _text: str = field(default=None, **_CACHE)
+
+    def __post_init__(self):
+        _seal(self, (self.rank, self.degree), 1)
+
+    __hash__ = _cached_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mix:
     components: tuple
     limit_color: Color
+    _hash: int = field(**_CACHE)
+    _size: int = field(**_CACHE)
+    _text: str = field(default=None, **_CACHE)
+
+    def __post_init__(self):
+        size = 1 + sum(c._size for c in self.components)
+        _seal(self, (self.components, self.limit_color), size)
+
+    __hash__ = _cached_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cantor:
     components: tuple = ()
     color: Color = Color.PLANAR
+    _hash: int = field(**_CACHE)
+    _size: int = field(**_CACHE)
+    _text: str = field(default=None, **_CACHE)
+
+    def __post_init__(self):
+        size = 1 + sum(c._size for c in self.components)
+        _seal(self, (self.components, self.color), size)
+
+    __hash__ = _cached_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     parts: tuple
+    _hash: int = field(**_CACHE)
+    _size: int = field(**_CACHE)
+    _text: str = field(default=None, **_CACHE)
+
+    def __post_init__(self):
+        _seal(self, (self.parts,), 1 + sum(p._size for p in self.parts))
+
+    __hash__ = _cached_hash
 
 
 Term = Union[Pt, Ord, Mix, Cantor, Sum]
@@ -95,15 +153,19 @@ class SurfaceDescriptor:
 
 
 def term_size(t: Term) -> int:
-    if isinstance(t, (Pt, Ord)):
-        return 1
-    if isinstance(t, (Mix, Cantor)):
-        return 1 + sum(term_size(c) for c in t.components)
-    return 1 + sum(term_size(p) for p in t.parts)
+    return t._size
 
 
 def pretty(t: Term) -> str:
     """Render a term in the input grammar; parse(pretty(t)) == t."""
+    text = t._text
+    if text is None:
+        text = _render(t)
+        object.__setattr__(t, "_text", text)
+    return text
+
+
+def _render(t: Term) -> str:
     if isinstance(t, Pt):
         return "pt^g" if t.color is Color.GENUS else "pt"
     if isinstance(t, Ord):

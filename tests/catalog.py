@@ -2,9 +2,11 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from endscope.ordinals import ONE, OMEGA, ZERO, add, from_nat, mul_nat, omega_pow
 from endscope.parser import parse_term
-from endscope.terms import Color, Ord, Pt, Sum, has_genus, mk_cantor, mk_mix
+from endscope.terms import Cantor, Color, Mix, Ord, Pt, Sum, has_genus, mk_cantor, mk_mix
 
 # a broad catalog of small terms (size <= 12) covering every constructor
 CATALOG_SOURCES = [
@@ -117,3 +119,29 @@ def random_term(rng: random.Random, budget: int = 5):
         )
         return mk_cantor(comps, color)
     return Sum(tuple(random_term(rng, budget - 1) for _ in range(rng.randint(2, 3))))
+
+
+# Hypothesis strategies. `cnfs` builds ordinals with the arithmetic; `raw_terms`
+# calls the constructors directly, so components come in any order and genus
+# closedness is not enforced (for properties of the data types, not of spaces).
+cnfs = st.recursive(
+    st.integers(0, 3).map(from_nat),
+    lambda inner: st.one_of(
+        inner.map(omega_pow),
+        st.tuples(inner, inner).map(lambda p: add(*p)),
+        st.tuples(inner, st.integers(1, 3)).map(lambda p: mul_nat(*p)),
+    ),
+    max_leaves=6,
+)
+_colors = st.sampled_from([Color.PLANAR, Color.GENUS])
+raw_terms = st.recursive(
+    st.one_of(st.builds(Pt, _colors), st.builds(Ord, cnfs, st.integers(1, 3))),
+    lambda kids: st.one_of(
+        st.builds(Mix, st.lists(kids, min_size=1, max_size=3).map(tuple), _colors),
+        st.builds(Cantor, st.lists(kids, max_size=2).map(tuple), _colors),
+        st.builds(Sum, st.lists(kids, min_size=2, max_size=3).map(tuple)),
+    ),
+    max_leaves=10,
+)
+# valid terms from the seeded generator above
+random_terms = st.integers(0, 2**32).map(lambda seed: random_term(random.Random(seed)))

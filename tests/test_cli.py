@@ -187,3 +187,46 @@ def test_shift_certificate_replays(tmp_path, capsys):
     c = _write(tmp_path, "cert.json", json.dumps(cert))
     assert run(["certify", f, "--end", "rank(0)", "--check", c]) == 0
     assert capsys.readouterr().out == "certificate ok\n"
+
+
+_TABLE = {
+    "classes": [
+        {"id": "a", "kind": "finite(1)", "color": "planar"},
+        {"id": "b", "kind": "cantor", "color": "genus"},
+    ],
+    "leq": [["a", "b"]],
+    "acc": [["a", "b"]],
+}
+
+
+@pytest.mark.parametrize("doc", [
+    {"classes": [1, 2]},
+    {"classes": "abc"},
+    {"classes": {"a": 1}},
+    {"classes": 5},
+    dict(_TABLE, leq=5),
+    dict(_TABLE, leq=None),
+    dict(_TABLE, leq=[[["a"], "b"]]),
+    dict(_TABLE, leq=[[1, 2]]),
+    dict(_TABLE, acc=5),
+    dict(_TABLE, acc=[["a", "b", "a"]]),
+    {"classes": [{"id": "a", "kind": 5, "color": "planar"}]},
+    {"classes": [{"id": "a", "kind": "cantor", "color": ["planar"]}]},
+    {"classes": [{"id": "a", "kind": "cantor", "color": "planar", "family": True,
+                  "family_bound": 5}]},
+    {"classes": [{"id": "a", "kind": "cantor", "color": "planar", "family": True,
+                  "family_bound": "w+("}]},
+])
+@pytest.mark.parametrize("command", ["classify", "verdict"])
+def test_malformed_germ_table_is_an_input_error(tmp_path, capsys, doc, command):
+    f = _write(tmp_path, "t.json", json.dumps(doc))
+    assert run([command, f]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("endscope: bad germ table: ") and err.count("\n") == 1
+
+
+def test_well_formed_germ_table_still_loads(tmp_path, capsys):
+    f = _write(tmp_path, "t.json", json.dumps(_TABLE))
+    assert run(["classify", f]) == 0
+    assert [c["id"] for c in json.loads(capsys.readouterr().out)["classes"]] == ["a", "b"]

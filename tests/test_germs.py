@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalog import catalog, random_term
+from catalog import catalog, random_term, random_terms
 from endscope.examples_builtin import EXAMPLES
 from endscope.germs import (
+    USER,
     NotGenusColored,
     NotSuccessor,
     Successor,
     UnknownClass,
     _close,
+    _pair_leq,
+    cap,
     cantor_type,
     derive_table,
     dominates,
@@ -22,7 +25,7 @@ from endscope.germs import (
     predecessors,
     to_json,
 )
-from endscope.ordinals import OMEGA
+from endscope.ordinals import OMEGA, ONE, add, cmp, print_cnf
 from endscope.parser import parse_term
 from endscope.terms import Cantor, Color, Mix, require_valid
 
@@ -209,3 +212,108 @@ def test_row_index_matches_scan():
             assert table.row(r.id) is r
     assert derive_table(parse_term("ord(w^(w))")).family_row.id == "rank(*)"
     assert derive_table(parse_term("ord(w^(3))")).family_row is None
+
+
+# ---------------------------------------------------------------------------
+# predecessors and maximal classes against all-pairs scans through _pair_leq
+
+
+def _ref_strictly(table, a, b) -> bool:
+    return _pair_leq(table, a, b) and not _pair_leq(table, b, a)
+
+
+def _ref_maximal_classes(table) -> set:
+    return {
+        r.id
+        for r in table.classes
+        if not any(_ref_strictly(table, r, o) for o in table.classes if o.id != r.id)
+    }
+
+
+def _ref_predecessors(table, x):
+    """Every candidate against every other one, as the scan over pairs did."""
+    r = table.row(x)
+    if r.family:
+        return predecessors(table, x)  # not a maximality question
+    below = [z for z in table.classes if z.id != r.id and _ref_strictly(table, z, r)]
+    pool = list(below)
+    if table.origin == USER:
+        if not below:
+            return NotSuccessor("no classes below")
+    else:
+        pool = [z for z in below if not z.family]
+        fam = table.family_row
+        c = cap(r.germ) if fam is not None else None
+        if c is not None:
+            hi = add(c, ONE)
+            member_cap = hi if cmp(hi, fam.family_bound) < 0 else fam.family_bound
+            covered = any(
+                z.germ is not None and cap(z.germ) is not None
+                and cmp(member_cap, add(cap(z.germ), ONE)) <= 0
+                for z in pool
+            )
+            if not member_cap.is_zero() and not covered:
+                if not member_cap.is_successor():
+                    return NotSuccessor("limit rank family below with no covering class")
+                pool.append(("member", member_cap.pred()))
+        if not pool:
+            return NotSuccessor("no classes below")
+    maximal = [
+        z for z in pool
+        if not any(_ref_strictly(table, z, o) for o in pool if o is not z)
+    ]
+    if table.origin == USER and any(z.family for z in maximal):
+        return NotSuccessor("infinitely many pairwise incomparable classes below")
+    return Successor(tuple(sorted(
+        f"rank({print_cnf(z[1])})" if isinstance(z, tuple) else z.id for z in maximal
+    )))
+
+
+def _check_against_reference(table):
+    assert maximal_classes(table) == _ref_maximal_classes(table)
+    for r in table.classes:
+        assert predecessors(table, r.id) == _ref_predecessors(table, r.id), r.id
+
+
+@settings(max_examples=150)
+@given(random_terms)
+def test_predecessors_match_all_pairs_on_derived_tables(term):
+    table = derive_table(term)
+    _check_against_reference(table)
+    _check_against_reference(from_json(dict(to_json(table), origin=USER)))
+
+
+_USER_CLASS = st.tuples(
+    st.sampled_from(["countable_discrete", "cantor", "finite(1)", "finite(3)"]),
+    st.sampled_from(["planar", "genus"]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(_USER_CLASS, min_size=1, max_size=8),
+    st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30),
+    st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12),
+)
+def test_predecessors_match_all_pairs_on_user_tables(rows, leq, acc):
+    n = len(rows)
+    colors = [color for _, color, _ in rows]
+    doc = {
+        "classes": [
+            {"id": f"c{i}", "kind": kind, "color": color, "family": family}
+            for i, (kind, color, family) in enumerate(rows)
+        ],
+        "leq": [[f"c{y}", f"c{x}"] for y, x in sorted(leq) if y < n and x < n],
+        # genus classes accumulate only onto genus classes
+        "acc": [
+            [f"c{z}", f"c{x}"] for z, x in sorted(acc)
+            if z < n and x < n and (colors[z] == "planar" or colors[x] == "genus")
+        ],
+        "origin": USER,
+    }
+    try:
+        table = from_json(doc)
+    except ValueError:  # the closure made genus accumulate onto planar
+        return
+    _check_against_reference(table)

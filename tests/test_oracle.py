@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catalog import countable_catalog
+from catalog import countable_catalog, random_terms
 from endscope.oracle import (
+    _colors_mismatch,
+    _derivative_mismatch,
+    _hidden,
+    _isolated_mismatch,
     bundle,
     cb_bruteforce,
     equiv_invariants,
@@ -10,7 +16,7 @@ from endscope.oracle import (
     truncate,
 )
 from endscope.parser import parse_term
-from endscope.terms import NotCountable, cb_rank
+from endscope.terms import Cantor, Color, Mix, NotCountable, Ord, Pt, Sum, cb_rank
 
 
 def test_cb_bruteforce_golden_sequences():
@@ -102,3 +108,149 @@ def test_tr_embeds_spot_checks():
     assert not tr_embeds(parse_term("pt^g"), parse_term("ord(w)"), 3)
     assert not tr_embeds(parse_term("cantor()"), parse_term("ord(w)"), 3)
     assert tr_embeds(parse_term("cantor()"), parse_term("cantor(pt)"), 3)
+
+
+# ---------------------------------------------------------------------------
+# bundles from one truncation per depth against three truncations per depth
+
+
+def _ref_flatten(roots) -> list:
+    out, stack = [], list(roots)
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        stack.extend(n.children)
+    return out
+
+
+def _ref_isolated_counts(roots) -> dict:
+    out = {}
+    for n in _ref_flatten(roots):
+        if n.mark == "point" and not n.children:
+            out[str(n.color)] = out.get(str(n.color), 0) + 1
+    return out
+
+
+def _ref_cb_bruteforce(tr) -> list:
+    alive = _ref_flatten(tr.roots)
+    counts = [len(alive)]
+    while alive:
+        keep = [n for n in alive if not (n.mark == "point" and not n.children)]
+        removed = {id(n) for n in alive} - {id(n) for n in keep}
+        if not removed:
+            break
+        alive = keep
+        for n in alive:
+            n.groups = [[c for c in grp if id(c) not in removed] for grp in n.groups]
+        counts.append(len(alive))
+    return counts
+
+
+def _ref_bundle(t, depth) -> dict:
+    """The bundle as built from a fresh truncation for every fact."""
+    nodes = _ref_flatten(truncate(t, depth).roots)
+    colors = set()
+    for n in nodes:
+        colors |= {n.color} | n.hidden_colors
+    out = {
+        "colors": sorted(str(c) for c in colors),
+        "perfect_kernel": any(n.mark == "dust" or n.hidden_dust for n in nodes),
+        "deep": any(n.mark == "deep" for n in nodes),
+        "hidden_isolated": sorted(
+            str(c) for c in frozenset().union(*(n.hidden_iso for n in nodes))
+        ),
+    }
+    iso_now = _ref_isolated_counts(truncate(t, depth).roots)
+    iso_prev = _ref_isolated_counts(truncate(t, depth - 1).roots) if depth else iso_now
+    out["isolated"] = {
+        c: (k if k == iso_prev.get(c, 0) else "growing") for c, k in iso_now.items()
+    }
+    out["derivative"] = None
+    if not out["perfect_kernel"] and out["colors"] in ([], ["planar"]):
+        counts = _ref_cb_bruteforce(truncate(t, depth))
+        out["derivative"] = {
+            "rounds": len(counts) - 1,
+            "final_nonzero": next((c for c in reversed(counts) if c != 0), 0),
+            "stalled": counts[-1] != 0,
+        }
+    return out
+
+
+def _ref_equiv_invariants(a, b, depth):
+    for d in range(depth + 1):
+        ba, bb = _ref_bundle(a, d), _ref_bundle(b, d)
+        if ba["perfect_kernel"] != bb["perfect_kernel"]:
+            return (
+                "differ",
+                f"perfect_kernel at depth {d}: "
+                f"{ba['perfect_kernel']!r} vs {bb['perfect_kernel']!r}",
+            )
+        for key, witness in (
+            ("colors", _colors_mismatch(ba, bb)),
+            ("isolated", _isolated_mismatch(ba, bb)),
+            ("derivative", _derivative_mismatch(ba, bb)),
+        ):
+            if witness:
+                return ("differ", f"{key} at depth {d}: {witness}")
+    return "same"
+
+
+_NEST_POOL = ["pt", "pt^g", "cantor()", "ord(w)", "cantor(ord(w))", "cantor^g(pt)", "ord(w^(2))"]
+
+
+@st.composite
+def _nested_mix_pairs(draw):
+    """A genus mix nested up to 4 deep, and the same mix with every
+    component list written in the other order."""
+    sides = draw(st.lists(st.sampled_from(_NEST_POOL), min_size=1, max_size=4))
+    text = perm = "cantor^g()"
+    for side in sides:
+        text, perm = f"mix({text},{side};g)", f"mix({side},{perm};g)"
+    return parse_term(text), parse_term(perm)
+
+
+@settings(max_examples=60)
+@given(random_terms, st.integers(0, 4))
+def test_bundle_matches_reference(t, depth):
+    assert bundle(t, depth) == _ref_bundle(t, depth)
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.tuples(random_terms, random_terms), _nested_mix_pairs()), st.integers(0, 4))
+def test_equiv_invariants_matches_reference(pair, depth):
+    a, b = pair
+    assert equiv_invariants(a, b, depth) == _ref_equiv_invariants(a, b, depth)
+    assert equiv_invariants(a, a, depth) == _ref_equiv_invariants(a, a, depth)
+
+
+def _ref_colors(t) -> frozenset:
+    if isinstance(t, Pt):
+        return frozenset((t.color,))
+    if isinstance(t, Ord):
+        return frozenset((Color.PLANAR,))
+    if isinstance(t, Mix):
+        return frozenset((t.limit_color,)).union(*map(_ref_colors, t.components))
+    if isinstance(t, Cantor):
+        return frozenset((t.color,)).union(*map(_ref_colors, t.components))
+    return frozenset().union(*map(_ref_colors, t.parts))
+
+
+def _ref_iso(t) -> frozenset:
+    if isinstance(t, (Pt, Ord)):
+        return _ref_colors(t)
+    kids = t.parts if isinstance(t, Sum) else t.components
+    return frozenset().union(*map(_ref_iso, kids))
+
+
+def _ref_dust(t) -> bool:
+    if isinstance(t, (Pt, Ord)):
+        return False
+    kids = t.parts if isinstance(t, Sum) else t.components
+    return isinstance(t, Cantor) or any(map(_ref_dust, kids))
+
+
+@given(st.lists(random_terms, min_size=1, max_size=4))
+def test_hidden_facts_match_a_fresh_computation(terms):
+    memo = {}  # shared, as within one truncation
+    for t in terms + terms:
+        assert _hidden(t, memo) == (_ref_colors(t), _ref_iso(t), _ref_dust(t))

@@ -1,9 +1,13 @@
-import pytest
+from dataclasses import fields, make_dataclass
 
-from catalog import catalog
-from endscope.ordinals import ONE, OMEGA, ZERO, add, from_nat
+import pytest
+from hypothesis import given
+
+from catalog import catalog, cnfs, raw_terms
+from endscope.ordinals import ONE, OMEGA, ZERO, Cnf, add, from_nat, mul_nat, omega_pow, print_cnf
 from endscope.parser import parse_term
 from endscope.terms import (
+    Cantor,
     Color,
     GenusMismatch,
     Mix,
@@ -110,3 +114,94 @@ def test_ord_degree_validated():
     # pretty of every catalog term mentions no spaces
     for t in catalog():
         assert " " not in pretty(t)
+
+
+# ---------------------------------------------------------------------------
+# cached hash, size and rendering against the generated dataclass methods and
+# the recursive renderers they replace
+
+# plain frozen dataclasses with the same names and compared fields: their
+# hash, == and repr are the ones dataclasses generates
+_PLAIN = {
+    cls: make_dataclass(cls.__name__, [f.name for f in fields(cls) if f.compare], frozen=True)
+    for cls in (Pt, Ord, Mix, Cantor, Sum, Cnf)
+}
+
+
+def _plain(x, cnf: bool = True):
+    """x rebuilt from the plain dataclasses; Cnf values too when `cnf`."""
+    if isinstance(x, tuple):
+        return tuple(_plain(v, cnf) for v in x)
+    if type(x) in _PLAIN and (cnf or not isinstance(x, Cnf)):
+        cls = _PLAIN[type(x)]
+        return cls(*(_plain(getattr(x, f.name), cnf) for f in fields(cls)))
+    return x
+
+
+def _subterms(t):
+    yield t
+    for k in getattr(t, "components", ()) + getattr(t, "parts", ()):
+        yield from _subterms(k)
+
+
+def _field_tuple(x) -> tuple:
+    return tuple(getattr(x, f.name) for f in fields(x) if f.compare)
+
+
+def _ref_print_cnf(a) -> str:
+    out = []
+    for exp, coeff in a.summands:
+        if exp.is_zero():
+            out.append(str(coeff))
+            continue
+        piece = "w" if exp == ONE else f"w^({_ref_print_cnf(exp)})"
+        out.append(piece + (f"*{coeff}" if coeff > 1 else ""))
+    return "+".join(out) or "0"
+
+
+def _ref_pretty(t) -> str:
+    if isinstance(t, Pt):
+        return "pt^g" if t.color is Color.GENUS else "pt"
+    if isinstance(t, Ord):
+        return f"ord({_ref_print_cnf(mul_nat(omega_pow(t.rank), t.degree))})"
+    if isinstance(t, Mix):
+        word = "g" if t.limit_color is Color.GENUS else "planar"
+        return f"mix({','.join(map(_ref_pretty, t.components))};{word})"
+    if isinstance(t, Cantor):
+        flag = "^g" if t.color is Color.GENUS else ""
+        return f"cantor{flag}({','.join(map(_ref_pretty, t.components))})"
+    return f"sum({','.join(map(_ref_pretty, t.parts))})"
+
+
+def _ref_size(t) -> int:
+    return 1 + sum(_ref_size(k) for k in getattr(t, "components", ()) + getattr(t, "parts", ()))
+
+
+@given(raw_terms)
+def test_cached_hash_is_the_generated_hash(t):
+    for u in _subterms(t):
+        assert hash(u) == hash(_field_tuple(u)) == hash(_plain(u))
+
+
+@given(cnfs)
+def test_cnf_cached_hash_and_rendering(a):
+    assert hash(a) == hash(_field_tuple(a)) == hash(_plain(a))
+    for _ in range(2):  # computed, then cached
+        assert print_cnf(a) == _ref_print_cnf(a)
+        assert repr(a) == f"Cnf<{_ref_print_cnf(a)}>"
+
+
+@given(raw_terms, raw_terms)
+def test_equality_and_repr_are_the_generated_ones(a, b):
+    assert (a == b) == (_plain(a) == _plain(b))
+    copy = type(a)(*_field_tuple(a))
+    assert copy == a and hash(copy) == hash(a)
+    assert repr(a) == repr(_plain(a, cnf=False))
+
+
+@given(raw_terms)
+def test_cached_size_and_rendering_match_a_fresh_computation(t):
+    for _ in range(2):  # computed, then cached
+        for u in _subterms(t):
+            assert term_size(u) == _ref_size(u)
+            assert pretty(u) == _ref_pretty(u)
