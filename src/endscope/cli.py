@@ -23,9 +23,9 @@ import sys
 from . import __version__
 from .examples_builtin import EXAMPLES, example
 from .germs import (
+    CANTOR,
     GermTable,
     UnknownClass,
-    cantor_type,
     derive_table,
     from_json,
     maximal_classes,
@@ -58,7 +58,7 @@ from .terms import (
     pretty_surface,
 )
 from .verdict import constants as exponent_dag
-from .verdict import stone_verdict, surface_verdict
+from .verdict import Verdict, stone_verdict, surface_verdict
 
 EXIT_USAGE = 64
 EXIT_INPUT = 65
@@ -126,19 +126,17 @@ def _emit_json(doc) -> None:
 # reports
 
 
-def _class_entries(table: GermTable, per_class) -> list:
-    """One report row per class; `per_class` is the verdict's telescoping
-    result for each row of `table`, in table order."""
-    maximal = maximal_classes(table)
+def _class_entries(v: Verdict) -> list:
+    """One report row per class of the verdict's table."""
+    maximal = maximal_classes(v.table)
     out = []
-    for r, tl in zip(table.classes, per_class):
-        st = stable_nbhd(table, r.id)
+    for r, tl, st in zip(v.table.classes, v.per_class, v.stability):
         entry = {
             "id": r.id,
-            "kind": r.kind,
+            "kind": str(r.kind),
             "color": str(r.color),
             "maximal": r.id in maximal,
-            "cantor_type": cantor_type(table, r.id),
+            "cantor_type": r.kind == CANTOR,
             "stable": type(st).__name__.lower(),
             "telescoping": tl.status == "telescoping",
             "case": tl.case if tl.status == "telescoping" else tl.failure,
@@ -151,11 +149,7 @@ def _report(text: str, obj) -> dict:
     surface = isinstance(obj, SurfaceDescriptor) or (
         isinstance(obj, GermTable) and obj.surface
     )
-    if surface:
-        v = surface_verdict(obj)
-    else:
-        v = stone_verdict(obj)
-    table = _table_of(obj)
+    v = surface_verdict(obj) if surface else stone_verdict(obj)
     if isinstance(obj, SurfaceDescriptor):
         normalized = pretty_surface(
             SurfaceDescriptor(obj.genus, normalize(obj.ends))
@@ -170,7 +164,7 @@ def _report(text: str, obj) -> dict:
         "input": text,
         "input_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "normalized": normalized,
-        "classes": _class_entries(table, v.per_class),
+        "classes": _class_entries(v),
         "verdict": {"ac": v.ac, "basis": v.basis, "witness": v.witness},
         "notes": list(v.notes),
     }
@@ -258,7 +252,6 @@ def _cmd_verdict(args) -> int:
 
 
 def _certificate_for(obj, end: str) -> dict:
-    table = _table_of(obj)
     surface = isinstance(obj, SurfaceDescriptor) or (
         isinstance(obj, GermTable) and obj.surface
     )
@@ -267,7 +260,7 @@ def _certificate_for(obj, end: str) -> dict:
             return annuli_certificate(annuli(obj, end, depth=_depth()))
         except NotTelescoping:
             pass  # no annulus chain: fall back to the stability certificate
-    res = stable_nbhd(table, end)
+    res = stable_nbhd(_table_of(obj), end)
     if not isinstance(res, Stable):
         raise _CliError(f"{end} has no stability certificate: {res}", EXIT_INPUT)
     return decomposition_certificate(res.decomposition, depth=_depth())
@@ -332,7 +325,7 @@ def _cmd_certify(args) -> int:
             return 0
         _emit_json(_certificate_for(obj, args.end))
         return 0
-    except (UnknownClass, NotStable) as e:
+    except (UnknownClass, NotStable, ValidationError) as e:
         raise _CliError(str(e), EXIT_INPUT)
 
 

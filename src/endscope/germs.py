@@ -8,13 +8,16 @@ term together with
   leq(y, x)   germ of y clopen-embeds into every neighborhood of x
   acc(z, x)   points of class z accumulate onto points of class x
 
+Each class has a `Kind`: finite (with its count), countable or cantor.
 Countable planar germs are exactly the spaces w^b+1; their classes are named
 "rank(b)". A term containing an Ord leaf of infinite rank has infinitely many
 rank classes; these are stored symbolically as one family row "rank(*)" with
-an exclusive upper bound, and queries instantiate members on demand.
+an exclusive upper bound, and queries instantiate a `Member` on demand, which
+answers the row attributes as the rank row of germ Ord(b, 1) would.
 
-User-supplied tables (JSON) go through the same queries but carry no germ
-terms, so only the explicitly listed relations are available.
+Tables read from JSON go through the same queries but carry no germ terms
+(`GermTable.has_germs`, whatever their `origin` says), so only the explicitly
+listed relations are available and no family member is instantiated.
 """
 
 from __future__ import annotations
@@ -54,15 +57,39 @@ class NotGenusColored(ValueError):
 
 FAMILY_ID = "rank(*)"
 
-KIND_FINITE = "finite"
-KIND_COUNTABLE = "countable_discrete"
-KIND_CANTOR = "cantor"
+
+@dataclass(frozen=True)
+class Kind:
+    """How many points of a class one region holds: `count`, countably many,
+    or a Cantor set. `str` is the JSON spelling; `+` the kind of a union."""
+
+    name: str  # "finite" | "countable_discrete" | "cantor"
+    count: int = 0  # points of a finite kind
+
+    @property
+    def is_finite(self) -> bool:
+        return self.name == "finite"
+
+    def __str__(self) -> str:
+        return f"finite({self.count})" if self.is_finite else self.name
+
+    def __add__(self, other: Kind) -> Kind:
+        if CANTOR in (self, other):
+            return CANTOR
+        if COUNTABLE in (self, other):
+            return COUNTABLE
+        return Kind("finite", self.count + other.count)
+
+
+COUNTABLE = Kind("countable_discrete")
+CANTOR = Kind("cantor")
+ONE_POINT = Kind("finite", 1)
 
 
 @dataclass(frozen=True)
 class GermClass:
     id: str
-    kind: str  # "finite(n)" | "countable_discrete" | "cantor"
+    kind: Kind
     color: Color
     germ: Term = None  # canonical germ term; None in user tables
     rank: Cnf = None  # set for countable planar rank classes
@@ -81,7 +108,6 @@ class NotSuccessor:
 
 
 DERIVED = "derived-from-term"
-USER = "user-supplied"
 
 
 @dataclass(frozen=True)
@@ -122,28 +148,30 @@ class GermTable:
     def family_row(self):
         return next((c for c in self.classes if c.family), None)
 
-
-def kind_finite(n: int) -> str:
-    return f"{KIND_FINITE}({n})"
-
-
-def _kind_merge(a: str, b: str) -> str:
-    if KIND_CANTOR in (a, b):
-        return KIND_CANTOR
-    if KIND_COUNTABLE in (a, b):
-        return KIND_COUNTABLE
-    return kind_finite(_finite_count(a) + _finite_count(b))
+    @cached_property
+    def has_germs(self) -> bool:
+        """Whether the rows carry germ terms, as derived tables do. A table
+        read from JSON never does, whatever its `origin` says."""
+        return any(c.germ is not None for c in self.classes)
 
 
-def _finite_count(kind: str) -> int:
-    m = re.fullmatch(r"finite\((\d+)\)", kind)
-    if not m:
-        raise ValidationError(f"bad kind {kind!r}")
-    return int(m.group(1))
+@dataclass(frozen=True)
+class Member:
+    """The family member rank(b), b below the family bound, answering the row
+    attributes as the rank row of germ Ord(b, 1) would."""
 
+    rank: Cnf
+    kind = COUNTABLE
+    color = Color.PLANAR
+    family = False
 
-def is_finite_kind(kind: str) -> bool:
-    return kind.startswith(KIND_FINITE)
+    @property
+    def id(self) -> str:
+        return _rank_id(self.rank)
+
+    @property
+    def germ(self) -> Ord:
+        return Ord(self.rank, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +312,15 @@ def _emb_into(s: Term, u: Term) -> bool:
 
 class _Collector:
     def __init__(self):
-        self.germs = {}  # canonical non-rank germ -> kind string
-        self.ranks = {}  # Cnf rank -> kind string
+        self.germs = {}  # canonical non-rank germ -> Kind
+        self.ranks = {}  # Cnf rank -> Kind
         self.fam_bound = None  # exclusive Cnf bound, always >= w when set
 
-    def add_germ(self, g: Term, kind: str):
-        self.germs[g] = _kind_merge(self.germs[g], kind) if g in self.germs else kind
+    def add_germ(self, g: Term, kind: Kind):
+        self.germs[g] = self.germs[g] + kind if g in self.germs else kind
 
-    def add_rank(self, b: Cnf, kind: str):
-        self.ranks[b] = _kind_merge(self.ranks[b], kind) if b in self.ranks else kind
+    def add_rank(self, b: Cnf, kind: Kind):
+        self.ranks[b] = self.ranks[b] + kind if b in self.ranks else kind
 
     def bump_family(self, bound: Cnf):
         if self.fam_bound is None or cmp(self.fam_bound, bound) < 0:
@@ -301,40 +329,40 @@ class _Collector:
 
 def _collect(t: Term, ctx: bool, col: _Collector) -> None:
     """Gather all point classes of t; ctx marks an infinitely-repeated region."""
-    base = KIND_COUNTABLE if ctx else None
+    base = COUNTABLE if ctx else None
     if isinstance(t, Pt):
         if t.color is Color.GENUS:
-            col.add_germ(Pt(Color.GENUS), base or kind_finite(1))
+            col.add_germ(Pt(Color.GENUS), base or ONE_POINT)
         else:
-            col.add_rank(ZERO, base or kind_finite(1))
+            col.add_rank(ZERO, base or ONE_POINT)
         return
     if isinstance(t, Ord):
         if t.rank.is_nat():
             k = ZERO
             while cmp(k, t.rank) < 0:
-                col.add_rank(k, KIND_COUNTABLE)
+                col.add_rank(k, COUNTABLE)
                 k = add(k, ONE)
-            col.add_rank(t.rank, base or kind_finite(t.degree))
+            col.add_rank(t.rank, base or Kind("finite", t.degree))
         else:
             col.bump_family(add(t.rank, ONE) if ctx else t.rank)
             if not ctx:
-                col.add_rank(t.rank, kind_finite(t.degree))
+                col.add_rank(t.rank, Kind("finite", t.degree))
         return
     if isinstance(t, Mix):
         for c in t.components:
             _collect(c, True, col)
         g = canon(t)
         if isinstance(g, Ord):  # countable planar limit
-            col.add_rank(g.rank, base or kind_finite(1))
+            col.add_rank(g.rank, base or ONE_POINT)
         elif isinstance(g, Cantor):  # limit merged into a dust class
-            col.add_germ(g, KIND_CANTOR)
+            col.add_germ(g, CANTOR)
         else:
-            col.add_germ(g, base or kind_finite(1))
+            col.add_germ(g, base or ONE_POINT)
         return
     if isinstance(t, Cantor):
         for c in t.components:
             _collect(c, True, col)
-        col.add_germ(canon(t), KIND_CANTOR)
+        col.add_germ(canon(t), CANTOR)
         return
     for p in t.parts:
         _collect(p, ctx, col)
@@ -356,10 +384,22 @@ def derive_table(t: Term) -> GermTable:
 
 
 def _derive(t: Term) -> GermTable:
+    rows, bound = _collected_rows(t)
+    pairs = {(a.id, b.id) for a in rows for b in rows if _row_leq(a, b, bound)}
+    rows = _merge_mutual(rows, pairs)
+    kept = {r.id for r in rows}
+    leq = _close({(y, x) for y, x in pairs if y in kept and x in kept})
+    accs = _close(_acc_pairs(rows, bound))
+    leq = _close(leq | accs)
+    return GermTable(tuple(sorted(rows, key=lambda r: r.id)), frozenset(leq), frozenset(accs))
+
+
+def _collected_rows(t: Term) -> tuple:
+    """The class rows of t before mutually embeddable rows merge, and the
+    family bound (None without a family row)."""
     col = _Collector()
     _collect(t, False, col)
     bound = col.fam_bound
-
     rows = []
     for b in sorted(col.ranks, key=_sort_key):
         if bound is not None and cmp(b, bound) < 0:
@@ -371,7 +411,7 @@ def _derive(t: Term) -> GermTable:
         rows.append(
             GermClass(
                 FAMILY_ID,
-                KIND_COUNTABLE,
+                COUNTABLE,
                 Color.PLANAR,
                 family=True,
                 family_bound=bound,
@@ -379,12 +419,7 @@ def _derive(t: Term) -> GermTable:
         )
     for g in sorted(col.germs, key=pretty):
         rows.append(GermClass(pretty(g), col.germs[g], _germ_color(g), g))
-
-    rows = _merge_mutual(rows, bound)
-    leq = _close(_leq_pairs(rows, bound))
-    accs = _close(_acc_pairs(rows, bound))
-    leq = _close(leq | accs)
-    return GermTable(tuple(sorted(rows, key=lambda r: r.id)), frozenset(leq), frozenset(accs))
+    return rows, bound
 
 
 def _sort_key(b: Cnf):
@@ -405,28 +440,24 @@ def _row_leq(a: GermClass, b: GermClass, bound) -> bool:
     return emb(a.germ, b.germ)
 
 
-def _merge_mutual(rows: list, bound) -> list:
+def _merge_mutual(rows: list, pairs: set) -> list:
+    """Merge each row into the first earlier row it embeds both ways with;
+    `pairs` holds the id pairs that `_row_leq` accepts."""
     out = []
     for r in rows:
         target = None
         for i, existing in enumerate(out):
-            if _row_leq(r, existing, bound) and _row_leq(existing, r, bound):
+            if (r.id, existing.id) in pairs and (existing.id, r.id) in pairs:
                 target = i
                 break
         if target is None:
             out.append(r)
         else:
             keep = out[target]
-            if keep.kind != KIND_CANTOR and r.kind == KIND_CANTOR:
+            if keep.kind != CANTOR and r.kind == CANTOR:
                 keep, r = r, keep
-            out[target] = replace(keep, kind=_kind_merge(keep.kind, r.kind))
+            out[target] = replace(keep, kind=keep.kind + r.kind)
     return out
-
-
-def _leq_pairs(rows, bound) -> set:
-    return {
-        (a.id, b.id) for a in rows for b in rows if _row_leq(a, b, bound)
-    }
 
 
 def _acc_pairs(rows, bound) -> set:
@@ -529,7 +560,7 @@ def absorbable(a: Term, b: Term) -> bool:
                 break
         if match is None:
             return False
-        if match.kind != KIND_CANTOR and match.id not in acc_sources:
+        if match.kind != CANTOR and match.id not in acc_sources:
             return False
     return True
 
@@ -539,12 +570,12 @@ def absorbable(a: Term, b: Term) -> bool:
 
 
 def _resolve(table: GermTable, cid: str):
-    """A row, or ("member", rank) for an instantiated family member id."""
+    """A row, or the `Member` an instantiated family member id names."""
     i = table.position.get(cid)
     if i is not None:
         return table.classes[i]
     fam = table.family_row
-    if fam is not None and table.origin == DERIVED:
+    if fam is not None and table.has_germs:
         m = re.fullmatch(r"rank\((.*)\)", cid)
         if m and m.group(1) != "*":
             try:
@@ -552,30 +583,14 @@ def _resolve(table: GermTable, cid: str):
             except Exception:
                 raise UnknownClass(cid) from None
             if cmp(b, fam.family_bound) < 0:
-                return ("member", b)
+                return Member(b)
     raise UnknownClass(cid)
 
 
 def _pair_leq(table: GermTable, y, x) -> bool:
-    fam = table.family_row
-    bound = fam.family_bound if fam is not None else None
-    ym = isinstance(y, tuple)
-    xm = isinstance(x, tuple)
-    if not ym and not xm:
-        return (y.id, x.id) in table.leq
-    yr = y[1] if ym else None
-    xr = x[1] if xm else None
-    if ym and xm:
-        return cmp(yr, xr) <= 0
-    if ym:
-        if x.family:
-            return True
-        c = cap(x.germ) if x.germ is not None else None
-        return c is not None and cmp(yr, c) <= 0
-    # y row, x member
-    if y.family:
-        return cmp(bound, add(xr, ONE)) <= 0
-    return y.rank is not None and cmp(y.rank, xr) <= 0
+    if isinstance(y, Member) or isinstance(x, Member):
+        return _row_leq(y, x, table.family_row.family_bound)
+    return (y.id, x.id) in table.leq
 
 
 def dominates(table: GermTable, y: str, x: str) -> bool:
@@ -600,13 +615,12 @@ def _maximal_among(table: GermTable, below: list) -> list:
 
 
 def cantor_type(table: GermTable, x: str) -> bool:
-    r = _resolve(table, x)
-    return not isinstance(r, tuple) and r.kind == KIND_CANTOR
+    return _resolve(table, x).kind == CANTOR
 
 
 def isolated_in_Eg(table: GermTable, x: str) -> bool:
     r = _resolve(table, x)
-    if isinstance(r, tuple) or r.color is not Color.GENUS:
+    if r.color is not Color.GENUS:
         raise NotGenusColored(x)
     for (z, tgt) in table.acc:
         if tgt == r.id and table.row(z).color is Color.GENUS:
@@ -616,8 +630,8 @@ def isolated_in_Eg(table: GermTable, x: str) -> bool:
 
 def predecessors(table: GermTable, x: str):
     r = _resolve(table, x)
-    if isinstance(r, tuple):  # instantiated family member rank(b)
-        b = r[1]
+    if isinstance(r, Member):
+        b = r.rank
         if b.is_zero():
             return NotSuccessor("no classes below")
         if b.is_successor():
@@ -625,7 +639,7 @@ def predecessors(table: GermTable, x: str):
         return NotSuccessor("limit rank: strictly increasing cofinal chain below")
     if r.family:
         return NotSuccessor("family members differ; instantiate a member rank")
-    if table.origin == USER:
+    if not table.has_germs:
         return _predecessors_user(table, r)
     return _predecessors_derived(table, r)
 
@@ -682,7 +696,7 @@ def _predecessors_derived(table: GermTable, r: GermClass):
 def to_json(table: GermTable) -> dict:
     classes = []
     for r in table.classes:
-        row = {"id": r.id, "kind": r.kind, "color": str(r.color)}
+        row = {"id": r.id, "kind": str(r.kind), "color": str(r.color)}
         if r.family:
             row["family"] = True
         if r.family_bound is not None:
@@ -719,10 +733,14 @@ def from_json(doc: dict) -> GermTable:
         if not isinstance(cid, str) or cid in ids:
             raise ValidationError(f"bad or duplicate class id {cid!r}")
         ids.add(cid)
-        if not isinstance(kind, str) or (
-            kind not in (KIND_COUNTABLE, KIND_CANTOR)
-            and not re.fullmatch(r"finite\([1-9]\d*\)", kind)
-        ):
+        # [0-9], not \d: int() reads other scripts' digits, and the kind
+        # would not print back as it was read
+        m = isinstance(kind, str) and re.fullmatch(r"finite\(([1-9][0-9]*)\)", kind)
+        if m:
+            kind = Kind("finite", int(m.group(1)))
+        elif kind in (COUNTABLE.name, CANTOR.name):
+            kind = Kind(kind)
+        else:
             raise ValidationError(f"bad kind {kind!r} for class {cid}")
         if not isinstance(color, str) or color not in _COLORS:
             raise ValidationError(f"bad color {color!r} for class {cid}")
@@ -752,7 +770,7 @@ def from_json(doc: dict) -> GermTable:
         tuple(sorted(rows, key=lambda r: r.id)),
         frozenset(leq),
         frozenset(accs),
-        origin=doc.get("origin", USER),
+        origin=doc.get("origin", "user-supplied"),
         surface=bool(doc.get("surface")),
     )
 

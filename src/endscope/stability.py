@@ -25,6 +25,7 @@ from .terms import (
     Sum,
     SurfaceDescriptor,
     Term,
+    ValidationError,
     mk_mix,
     pretty,
     require_valid,
@@ -97,9 +98,7 @@ class Unknown:
 
 def stable_nbhd(table: GermTable, x: str):
     row = _resolve(table, x)
-    if isinstance(row, tuple):  # instantiated family member rank(b)
-        return Stable(_rank_decomposition(x, row[1]))
-    if table.origin == "user-supplied" or row.germ is None and not row.family:
+    if not table.has_germs:
         for z in table.classes:
             if z.family and z.id != row.id and (z.id, row.id) in table.acc:
                 return Unstable(
@@ -471,6 +470,10 @@ def annuli(s, x: str, depth: int = DEFAULT_DEPTH) -> AnnulusDecomposition:
             x, "i", tuple(Annulus(k, (), False) for k in range(depth))
         )
     row = table.row(x)
+    if not table.has_germs:
+        raise ValidationError(
+            f"{x}: a germ table read from JSON has no germ terms to build annuli from"
+        )
     if result.case == "ii":
         content = row.germ
     else:
@@ -497,11 +500,9 @@ def check_annuli(table: GermTable, dec: AnnulusDecomposition, depth: int = 6) ->
     # neighborhood of the basepoint (not of the whole surface)
     nbhd = dec.annuli[0].term
     ntab = derive_table(nbhd)
-    expected = {
-        c.id for c in ntab.classes if not _is_finite_row(ntab, c.id)
-    }
+    expected = {c.id for c in ntab.classes if not c.kind.is_finite}
     for a in dec.annuli:
-        if not set(a.contents) <= set(_signature_ids(a.term)):
+        if not set(a.contents) <= set(derive_table(a.term).ids()):
             problems.append(f"annulus {a.index} content list mismatch")
         missing = expected - set(a.contents)
         if missing:
@@ -516,24 +517,11 @@ def check_annuli(table: GermTable, dec: AnnulusDecomposition, depth: int = 6) ->
     return problems
 
 
-def _is_finite_row(table: GermTable, cid: str) -> bool:
-    row = table.row(cid)
-    return row.kind.startswith("finite")
-
-
-def _signature_ids(term: Term) -> list:
-    return derive_table(term).ids()
-
-
 def _table_signature(table: GermTable):
     """Table identity with finite multiplicities erased (clopen duplication
     of an annulus multiplies finite counts but changes nothing else)."""
-
-    def k(kind: str) -> str:
-        return "finite" if kind.startswith("finite") else kind
-
     classes = tuple(
-        (c.id, k(c.kind), str(c.color), c.family, print_cnf(c.family_bound) if c.family_bound else None)
+        (c.id, c.kind.name, str(c.color), c.family, print_cnf(c.family_bound) if c.family_bound else None)
         for c in table.classes
     )
     return (classes, tuple(sorted(table.leq)), tuple(sorted(table.acc)))

@@ -19,16 +19,18 @@ genus-isolation clause (it constrains genus-colored ends only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .germs import (
+    CANTOR,
     GermTable,
-    KIND_CANTOR,
+    Member,
     Successor,
     cantor_type,
     derive_table,
     isolated_in_Eg,
     predecessors,
+    _pair_leq,
     _resolve,
 )
 from .ordinals import ONE, cmp
@@ -67,29 +69,30 @@ class TelescopingResult:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The verdict, with the facts behind it: `per_class` holds the telescoping
+    result and `stability` the `stable_nbhd` result of each row of `table`,
+    in table order. `table` and `stability` are neither compared nor shown."""
+
     ac: str  # "holds" | "fails" | "unknown"
     basis: str
     per_class: tuple
     witness: str = None
     notes: tuple = (CASE_NOTE, EQUIV_NOTE)
+    table: GermTable = field(default=None, compare=False, repr=False)
+    stability: tuple = field(default=None, compare=False, repr=False)
 
 
 def _accumulated(table: GermTable, cid: str) -> bool:
     return any(x == cid for (_, x) in table.acc)
 
 
-def _countable_kind(kind: str) -> bool:
-    return kind != KIND_CANTOR
-
-
 def telescoping(table: GermTable, x: str, surface_context: bool = True) -> TelescopingResult:
     row = _resolve(table, x)
-    if isinstance(row, tuple):  # family member rank(b)
-        b = row[1]
-        if b.is_zero():
+    if isinstance(row, Member):
+        if row.rank.is_zero():
             return TelescopingResult(x, "telescoping", case="i")
         return TelescopingResult(x, "not_telescoping", failure="F2")
-    if row.kind == KIND_CANTOR:
+    if row.kind == CANTOR:
         return TelescopingResult(x, "telescoping", case="ii")
     if row.family and row.family_bound is not None:
         # derived rank family: members of rank >= 1 sit over countable classes
@@ -114,26 +117,18 @@ def telescoping(table: GermTable, x: str, surface_context: bool = True) -> Teles
 
 def failure_case(table: GermTable, x: str, _preds=None) -> str:
     row = _resolve(table, x)
-    if not isinstance(row, tuple) and not row.family:
-        if row.color is Color.GENUS and isolated_in_Eg(table, x):
-            return "F1"
+    if not row.family and row.color is Color.GENUS and isolated_in_Eg(table, x):
+        return "F1"
     if _preds is None:
         probe = telescoping(table, x)
         if probe.status == "telescoping":
             raise IsTelescoping(x)
         return probe.failure
     # F2: a countable class sits strictly below x
-    rid = x if isinstance(row, tuple) else row.id
     for z in table.classes:
-        if z.id == rid:
-            continue
-        strictly_below = (z.id, rid) in table.leq and (rid, z.id) not in table.leq
-        if isinstance(row, tuple):
-            strictly_below = z.rank is not None and cmp(z.rank, row[1]) < 0
-        if strictly_below and _countable_kind(z.kind):
+        below = _pair_leq(table, z, row) and not _pair_leq(table, row, z)
+        if below and z.kind != CANTOR:
             return "F2"
-    if isinstance(row, tuple):
-        return "F2"  # rank members only ever have rank classes below
     return "F3"
 
 
@@ -166,30 +161,29 @@ def surface_verdict(s) -> Verdict:
     else:
         raise ValidationError(f"not a surface input: {s!r}")
 
-    stability = [stable_nbhd(table, r.id) for r in table.classes]
-    established = all(isinstance(v, Stable) for v in stability)
+    stability = tuple(stable_nbhd(table, r.id) for r in table.classes)
     per_class = _classify_all(table, surface_context=True)
-
-    if established:
+    facts = dict(table=table, stability=stability)
+    if all(isinstance(v, Stable) for v in stability):
         if all(p.status == "telescoping" for p in per_class):
-            return Verdict("holds", "telescoping-criterion", per_class)
+            return Verdict("holds", "telescoping-criterion", per_class, **facts)
         return Verdict(
-            "fails", "telescoping-criterion", per_class, _pick_witness(per_class)
+            "fails", "telescoping-criterion", per_class, _pick_witness(per_class), **facts
         )
-    return _sufficiency_verdict(table, per_class)
+    return _sufficiency_verdict(table, per_class, facts)
 
 
-def _sufficiency_verdict(table: GermTable, per_class) -> Verdict:
+def _sufficiency_verdict(table: GermTable, per_class, facts: dict) -> Verdict:
     hits = []
     for r in table.classes:
-        if not _countable_kind(r.kind):
+        if r.kind == CANTOR:
             continue
         if r.color is Color.GENUS and isolated_in_Eg(table, r.id):
             hits.append("F1")
             continue
         preds = predecessors(table, r.id)
         if isinstance(preds, Successor) and any(
-            _countable_kind(table.row(m).kind) for m in preds.preds
+            not cantor_type(table, m) for m in preds.preds
         ):
             hits.append("F2")
             continue
@@ -200,8 +194,8 @@ def _sufficiency_verdict(table: GermTable, per_class) -> Verdict:
             hits.append("F3")
     for f in ("F1", "F2", "F3"):
         if f in hits:
-            return Verdict("fails", "sufficiency", per_class, WITNESSES[f])
-    return Verdict("unknown", "open-question", per_class)
+            return Verdict("fails", "sufficiency", per_class, WITNESSES[f], **facts)
+    return Verdict("unknown", "open-question", per_class, **facts)
 
 
 def stone_verdict(t) -> Verdict:
@@ -209,9 +203,11 @@ def stone_verdict(t) -> Verdict:
         raise ValidationError("stone verdicts take a term or germ table")
     table = derive_table(t) if not isinstance(t, GermTable) else t
     per_class = _classify_all(table, surface_context=False)
-    if all(isinstance(stable_nbhd(table, r.id), Stable) for r in table.classes):
-        return Verdict("holds", "stable-stone", per_class)
-    return Verdict("unknown", "open-question", per_class)
+    stability = tuple(stable_nbhd(table, r.id) for r in table.classes)
+    facts = dict(table=table, stability=stability)
+    if all(isinstance(v, Stable) for v in stability):
+        return Verdict("holds", "stable-stone", per_class, **facts)
+    return Verdict("unknown", "open-question", per_class, **facts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
-from endscope.cli import run
+from endscope import germs, stability
+from endscope.cli import _load, run
 from endscope.examples_builtin import EXAMPLES
 from endscope.parser import parse
 
@@ -230,3 +232,69 @@ def test_well_formed_germ_table_still_loads(tmp_path, capsys):
     f = _write(tmp_path, "t.json", json.dumps(_TABLE))
     assert run(["classify", f]) == 0
     assert [c["id"] for c in json.loads(capsys.readouterr().out)["classes"]] == ["a", "b"]
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_verdict_on_derived_origin_table_with_family_row(tmp_path, capsys, fmt):
+    # a table read from JSON carries no germ terms, whatever its origin says
+    f = _write(tmp_path, "t.txt", "mix(ord(w^(w)),cantor^g(pt);g)")
+    assert run(["classify", f]) == 0
+    table = capsys.readouterr().out
+    doc = json.loads(table)
+    assert doc["origin"] == "derived-from-term" and any(c.get("family") for c in doc["classes"])
+    assert run(["verdict", _write(tmp_path, "t.json", table), *fmt]) in (0, 1, 2)
+    out, err = capsys.readouterr()
+    assert out and err == ""
+
+
+def _user_surface_copy(tmp_path, capsys, term):
+    f = _write(tmp_path, "t.txt", term)
+    assert run(["classify", f]) == 0
+    doc = dict(json.loads(capsys.readouterr().out), origin="user-supplied", surface=True)
+    return _write(tmp_path, "t.json", json.dumps(doc))
+
+
+def test_certify_on_json_surface_table_is_an_input_error(tmp_path, capsys):
+    term = "mix(ord(w^(3)),cantor(),pt^g;g)"
+    s = _write(tmp_path, "s.txt", f"surface {{ genus: inf, ends: {term} }}")
+    assert run(["certify", s, "--end", "cantor()"]) == 0
+    cert = _write(tmp_path, "cert.json", capsys.readouterr().out)
+    assert json.loads(open(cert).read())["kind"] == "annuli"
+    assert run(["certify", s, "--end", "cantor()", "--check", cert]) == 0
+    capsys.readouterr()
+    tables = [(_user_surface_copy(tmp_path, capsys, term), "cantor()"),
+              (_write(tmp_path, "tf.json", EXAMPLES["telescopefail-iii"]), "zfam")]
+    for table, end in tables:
+        for check in ([], ["--check", cert]):
+            assert run(["certify", table, "--end", end, *check]) == 65
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"endscope: {end}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_verdict_analyses_each_class_once(tmp_path, capsys, monkeypatch, name):
+    derived, stable = [], []
+
+    def counting(fn, log, arg):
+        def wrapper(*args):
+            log.append(args[arg])
+            return fn(*args)
+        return wrapper
+
+    # every module that imported the function holds its own reference
+    wrappers = {germs.derive_table: ("derive_table", counting(germs.derive_table, derived, 0)),
+                stability.stable_nbhd: ("stable_nbhd", counting(stability.stable_nbhd, stable, 1))}
+    for mod in [m for n, m in sys.modules.items() if n.startswith("endscope.")]:
+        for fn, (attr, wrapper) in wrappers.items():
+            if getattr(mod, attr, None) is fn:
+                monkeypatch.setattr(mod, attr, wrapper)
+    obj = _load(EXAMPLES[name])
+    run(["verdict", _write(tmp_path, name, EXAMPLES[name]), "--format", "json"])
+    ids = [c["id"] for c in json.loads(capsys.readouterr().out)["classes"]]
+    assert sorted(stable) == sorted(ids)
+    if hasattr(obj, "ends"):
+        # canon's absorption pass derives tables of subterms too; not counted
+        assert derived.count(obj.ends) == 1
+    else:
+        assert derived == []

@@ -1,20 +1,28 @@
 import json
 import random
+import re
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catalog import catalog, random_term, random_terms
+from catalog import catalog, cnfs, random_term, random_terms
 from endscope.examples_builtin import EXAMPLES
 from endscope.germs import (
-    USER,
+    CANTOR,
+    GermTable,
+    Kind,
+    Member,
     NotGenusColored,
     NotSuccessor,
     Successor,
     UnknownClass,
+    _acc_pairs,
     _close,
+    _collected_rows,
     _pair_leq,
+    _row_leq,
     cap,
     cantor_type,
     derive_table,
@@ -25,9 +33,14 @@ from endscope.germs import (
     predecessors,
     to_json,
 )
-from endscope.ordinals import OMEGA, ONE, add, cmp, print_cnf
+from endscope.normalize import normalize_structural
+from endscope.ordinals import OMEGA, ONE, ZERO, add, cmp, print_cnf
 from endscope.parser import parse_term
-from endscope.terms import Cantor, Color, Mix, require_valid
+from endscope.stability import Decomposition, Stable, stable_nbhd
+from endscope.terms import Cantor, Color, Mix, Ord, require_valid
+from endscope.verdict import TelescopingResult, telescoping
+
+USER = "user-supplied"
 
 
 def T(src: str):
@@ -52,8 +65,8 @@ def test_mixed_cantor_table_structure():
 def test_rank_classes_of_finite_rank_ordinal():
     t = T("ord(w^(2)*2)")
     assert t.ids() == ["rank(0)", "rank(1)", "rank(2)"]
-    assert t.row("rank(2)").kind == "finite(2)"
-    assert t.row("rank(1)").kind == "countable_discrete"
+    assert str(t.row("rank(2)").kind) == "finite(2)"
+    assert str(t.row("rank(1)").kind) == "countable_discrete"
     assert maximal_classes(t) == {"rank(2)"}
     assert predecessors(t, "rank(2)") == Successor(("rank(1)",))
     assert predecessors(t, "rank(1)") == Successor(("rank(0)",))
@@ -65,7 +78,7 @@ def test_rank_family_for_limit_exponent():
     assert t.ids() == ["rank(*)", "rank(w)"]
     fam = t.row("rank(*)")
     assert fam.family and fam.family_bound == OMEGA
-    assert t.row("rank(w)").kind == "finite(1)"
+    assert str(t.row("rank(w)").kind) == "finite(1)"
     # family members instantiate: any concrete rank below the bound embeds
     assert dominates(t, "rank(3)", "rank(w)")
     assert not dominates(t, "rank(w)", "rank(3)")
@@ -237,7 +250,8 @@ def _ref_predecessors(table, x):
         return predecessors(table, x)  # not a maximality question
     below = [z for z in table.classes if z.id != r.id and _ref_strictly(table, z, r)]
     pool = list(below)
-    if table.origin == USER:
+    user = all(z.germ is None for z in table.classes)
+    if user:
         if not below:
             return NotSuccessor("no classes below")
     else:
@@ -255,18 +269,16 @@ def _ref_predecessors(table, x):
             if not member_cap.is_zero() and not covered:
                 if not member_cap.is_successor():
                     return NotSuccessor("limit rank family below with no covering class")
-                pool.append(("member", member_cap.pred()))
+                pool.append(Member(member_cap.pred()))
         if not pool:
             return NotSuccessor("no classes below")
     maximal = [
         z for z in pool
         if not any(_ref_strictly(table, z, o) for o in pool if o is not z)
     ]
-    if table.origin == USER and any(z.family for z in maximal):
+    if user and any(z.family for z in maximal):
         return NotSuccessor("infinitely many pairwise incomparable classes below")
-    return Successor(tuple(sorted(
-        f"rank({print_cnf(z[1])})" if isinstance(z, tuple) else z.id for z in maximal
-    )))
+    return Successor(tuple(sorted(z.id for z in maximal)))
 
 
 def _check_against_reference(table):
@@ -317,3 +329,168 @@ def test_predecessors_match_all_pairs_on_user_tables(rows, leq, acc):
     except ValueError:  # the closure made genus accumulate onto planar
         return
     _check_against_reference(table)
+
+
+# ---------------------------------------------------------------------------
+# kinds: the JSON spelling and the merge, against the string forms they replace
+
+
+def _ref_finite_count(kind: str) -> int:
+    return int(re.fullmatch(r"finite\((\d+)\)", kind).group(1))
+
+
+def _ref_kind_merge(a: str, b: str) -> str:
+    """The merge of kind strings, as it was done before kinds were values."""
+    if "cantor" in (a, b):
+        return "cantor"
+    if "countable_discrete" in (a, b):
+        return "countable_discrete"
+    return f"finite({_ref_finite_count(a) + _ref_finite_count(b)})"
+
+
+def _one_class_table(kind) -> dict:
+    return {"classes": [{"id": "a", "kind": kind, "color": "planar"}], "origin": USER}
+
+
+# candidates for a kind: the accepted spellings, near misses, and digits of
+# any script (`\d` in a pattern matches them, and int() reads them)
+_KIND_TEXT = st.one_of(
+    st.sampled_from(["countable_discrete", "cantor", "finite(0)", "finite(01)", "finite"]),
+    st.from_regex(r"finite\(\d{1,4}\)", fullmatch=True),
+    st.integers(1, 10**30).map(lambda n: f"finite({n})"),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300)
+@given(_KIND_TEXT)
+def test_accepted_kind_strings_round_trip(kind):
+    try:
+        table = from_json(_one_class_table(kind))
+    except ValueError:
+        return
+    assert to_json(table)["classes"][0]["kind"] == kind
+
+
+_KIND_STRINGS = st.one_of(
+    st.sampled_from(["countable_discrete", "cantor"]),
+    st.integers(1, 50).map(lambda n: f"finite({n})"),
+)
+
+
+@settings(max_examples=200)
+@given(_KIND_STRINGS, _KIND_STRINGS)
+def test_kind_sum_matches_string_merge(a, b):
+    ka, kb = (from_json(_one_class_table(k)).row("a").kind for k in (a, b))
+    assert str(ka + kb) == _ref_kind_merge(a, b)
+
+
+# ---------------------------------------------------------------------------
+# instantiated family members against the answers of the ("member", b) tuple
+
+
+def _ref_resolve(table, cid):
+    if cid in table.position:
+        return table.row(cid)
+    return ("member", parse_term(f"ord(w^({cid[5:-1]}))").rank)
+
+
+def _ref_member_leq(table, y, x) -> bool:
+    """The tuple branches of `_pair_leq` before members were values."""
+    bound = table.family_row.family_bound
+    ym, xm = isinstance(y, tuple), isinstance(x, tuple)
+    if not ym and not xm:
+        return (y.id, x.id) in table.leq
+    if ym and xm:
+        return cmp(y[1], x[1]) <= 0
+    if ym:
+        if x.family:
+            return True
+        c = cap(x.germ) if x.germ is not None else None
+        return c is not None and cmp(y[1], c) <= 0
+    if y.family:
+        return cmp(bound, add(x[1], ONE)) <= 0
+    return y.rank is not None and cmp(y.rank, x[1]) <= 0
+
+
+def _ref_member_stable(x, b):
+    if b.is_zero():
+        return Stable(Decomposition(x, "degenerate", Ord(ZERO, 1)))
+    return Stable(Decomposition(x, "rank-blocks", Ord(b, 1), rank=b))
+
+
+def _ref_member_telescoping(x, b):
+    if b.is_zero():
+        return TelescopingResult(x, "telescoping", case="i")
+    return TelescopingResult(x, "not_telescoping", failure="F2")
+
+
+@settings(max_examples=200)
+@given(random_terms, cnfs, cnfs)
+def test_family_members_answer_as_the_member_tuple(term, b, b2):
+    table = derive_table(term)
+    fam = table.family_row
+    assume(fam is not None and cmp(b, fam.family_bound) < 0)
+    x = f"rank({print_cnf(b)})"
+    assert x not in table.position
+    others = table.ids()
+    if cmp(b2, fam.family_bound) < 0:
+        others.append(f"rank({print_cnf(b2)})")
+    for y in others:
+        for a, c in ((x, y), (y, x)):
+            expected = _ref_member_leq(table, _ref_resolve(table, a), _ref_resolve(table, c))
+            assert dominates(table, a, c) == expected, (a, c)
+    assert stable_nbhd(table, x) == _ref_member_stable(x, b)
+    for surface in (True, False):
+        assert telescoping(table, x, surface) == _ref_member_telescoping(x, b)
+    assert not cantor_type(table, x)
+    with pytest.raises(NotGenusColored):
+        isolated_in_Eg(table, x)
+
+
+def test_json_tables_instantiate_no_member():
+    table = from_json(to_json(T("ord(w^(w))")))
+    assert table.origin == "derived-from-term" and not table.has_germs
+    with pytest.raises(UnknownClass):
+        dominates(table, "rank(3)", "rank(w)")
+
+
+# ---------------------------------------------------------------------------
+# one row-preorder pass in _derive, against merging and comparing in two passes
+
+
+def _two_pass_derive(term) -> GermTable:
+    """`_row_leq` once to merge mutually embeddable rows, and once more over
+    the rows that are left."""
+    rows, bound = _collected_rows(normalize_structural(term))
+    merged = []
+    for r in rows:
+        target = next((i for i, e in enumerate(merged)
+                       if _row_leq(r, e, bound) and _row_leq(e, r, bound)), None)
+        if target is None:
+            merged.append(r)
+            continue
+        keep = merged[target]
+        if keep.kind != CANTOR and r.kind == CANTOR:
+            keep, r = r, keep
+        merged[target] = replace(keep, kind=keep.kind + r.kind)
+    leq = _close({(a.id, b.id) for a in merged for b in merged if _row_leq(a, b, bound)})
+    accs = _close(_acc_pairs(merged, bound))
+    return GermTable(tuple(sorted(merged, key=lambda r: r.id)),
+                     frozenset(_close(leq | accs)), frozenset(accs))
+
+
+# terms whose collected rows merge, which few random terms of budget 5 do
+_MERGING = [
+    "cantor^g(mix(ord(1);planar),mix(ord(3),cantor(pt),sum(pt^g,pt,cantor(sum(pt,pt)));g))",
+    "sum(cantor^g(cantor(ord(w^(w*2))),mix(pt^g,mix(pt;g);g)),cantor(ord(w^(3)*2),"
+    "ord(w^(3)*3)),mix(cantor^g(cantor(ord(w^(w*2)*2)));g))",
+    "mix(pt,cantor^g(ord(2),pt),sum(ord(w^(w*2)*2),cantor^g(),sum(sum(pt^g,cantor(pt),"
+    "sum(ord(w),pt^g)),mix(cantor(),cantor^g(ord(2));g)));g)",
+]
+
+
+@settings(max_examples=300)
+@given(st.one_of(random_terms, st.sampled_from(_MERGING).map(parse_term)))
+def test_derive_matches_two_pass_reference(term):
+    assert derive_table(term) == _two_pass_derive(term)
