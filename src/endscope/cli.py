@@ -9,11 +9,17 @@ Exit codes: 0 holds, 1 fails, 2 unknown; 64 usage or file errors, 65 input
 errors (syntax, validation, unknown ids), 70 internal errors. The JSON
 reports are byte-identical across runs on identical input; the environment
 variable ENDSCOPE_DEPTH overrides the default checker depth of 20.
+
+Sizes that come from outside have fixed maxima, since the work grows with
+them without bound: ENDSCOPE_DEPTH at most 256, swindle --depth at most 4096
+and swindle --letters at most 64. A larger value, a value below 1, or a
+negative oracle --depth exits 64 with one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -64,6 +70,11 @@ EXIT_USAGE = 64
 EXIT_INPUT = 65
 EXIT_INTERNAL = 70
 
+# maxima of the sizes read from the environment and the command line
+MAX_CHECK_DEPTH = 256
+MAX_SWINDLE_DEPTH = 4096
+MAX_SWINDLE_LETTERS = 64
+
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -79,9 +90,11 @@ def _depth() -> int:
         d = int(raw)
         if d < 1:
             raise ValueError
-        return d
     except ValueError:
         raise _CliError(f"bad ENDSCOPE_DEPTH value: {raw!r}", EXIT_USAGE)
+    if d > MAX_CHECK_DEPTH:
+        raise _CliError(f"ENDSCOPE_DEPTH {d} exceeds the maximum {MAX_CHECK_DEPTH}", EXIT_USAGE)
+    return d
 
 
 def _read(path: str) -> str:
@@ -332,6 +345,10 @@ def _cmd_certify(args) -> int:
 def _cmd_swindle(args) -> int:
     if args.letters < 1 or args.depth < 1:
         raise _CliError("--letters and --depth must be positive", EXIT_USAGE)
+    if args.letters > MAX_SWINDLE_LETTERS:
+        raise _CliError(f"--letters exceeds the maximum {MAX_SWINDLE_LETTERS}", EXIT_USAGE)
+    if args.depth > MAX_SWINDLE_DEPTH:
+        raise _CliError(f"--depth exceeds the maximum {MAX_SWINDLE_DEPTH}", EXIT_USAGE)
     rng = random.Random(args.seed)
     em = em_check(args.letters)
     width = 8
@@ -376,6 +393,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.depth < 0:
+        raise _CliError("--depth must not be negative", EXIT_USAGE)
     a_text, b_text = args.compare
     a = _load(_read(a_text) if a_text == "-" or os.path.exists(a_text) else a_text)
     b = _load(_read(b_text) if b_text == "-" or os.path.exists(b_text) else b_text)
@@ -409,7 +428,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args returns a fresh Namespace and reads
+    # sys.stdout and sys.stderr at call time, so calls share no state
     p = _Parser(prog="endscope", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"endscope {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

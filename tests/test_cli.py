@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from endscope import germs, stability
+from endscope import cli, germs, stability
 from endscope.cli import _load, run
 from endscope.examples_builtin import EXAMPLES
 from endscope.parser import parse
@@ -157,6 +157,73 @@ def test_depth_env_rejects_garbage(tmp_path, monkeypatch):
     f = _write(tmp_path, "ml", EXAMPLES["mona-lisa"])
     monkeypatch.setenv("ENDSCOPE_DEPTH", "soon")
     assert run(["certify", f, "--end", "mix(cantor(),cantor^g();g)"]) == 64
+
+
+def test_depth_env_has_a_maximum(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ENDSCOPE_DEPTH", "256")
+    assert cli._depth() == 256
+    f = _write(tmp_path, "ml", EXAMPLES["mona-lisa"])
+    monkeypatch.setenv("ENDSCOPE_DEPTH", "257")
+    assert run(["certify", f, "--end", "mix(cantor(),cantor^g();g)"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "256" in err
+
+
+@pytest.mark.parametrize("flag, maximum", [("--letters", 64), ("--depth", 4096)])
+def test_swindle_sizes_have_maxima(capsys, flag, maximum):
+    sizes = {"--letters": 1, "--depth": 8}
+    for value, code in ((maximum, 0), (maximum + 1, 64)):
+        sizes[flag] = value
+        argv = ["swindle"] + [str(x) for kv in sizes.items() for x in kv]
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and str(maximum) in err
+
+
+def test_oracle_rejects_negative_depth(capsys):
+    assert run(["oracle", "--compare", "pt", "pt", "--depth", "-3"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert run(["oracle", "--compare", "pt", "pt", "--depth", "0"]) == 0
+    assert capsys.readouterr().out == "same up to depth 0\n"
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    parser_class = cli._Parser
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return parser_class(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", counting)
+    for _ in range(5):
+        assert run(["constants"]) == 0
+    assert len(built) <= 1
+
+
+def test_reused_parser_gives_the_same_results(tmp_path, capsys):
+    f = _write(tmp_path, "ml", EXAMPLES["mona-lisa"])
+    calls = [
+        ["frobnicate"],
+        ["certify", f],
+        ["--version"],
+        ["verdict", f, "--format", "json"],
+        ["examples", "flute"],
+        ["oracle", "--compare", "pt", "pt"],
+    ]
+
+    def replay():
+        results = []
+        for argv in calls:
+            code = run(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    first = replay()
+    assert [code for code, _, _ in first] == [64, 64, 0, 0, 0, 0]
+    assert all(out == "" and "error:" in err for _, out, err in first[:2])
+    assert replay() == first
 
 
 @pytest.mark.parametrize("cert", [
