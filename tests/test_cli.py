@@ -171,12 +171,14 @@ def test_depth_env_has_a_maximum(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("flag, maximum", [("--letters", 64), ("--depth", 4096)])
 def test_swindle_sizes_have_maxima(capsys, flag, maximum):
-    sizes = {"--letters": 1, "--depth": 8}
-    for value, code in ((maximum, 0), (maximum + 1, 64)):
-        sizes[flag] = value
-        argv = ["swindle"] + [str(x) for kv in sizes.items() for x in kv]
-        assert run(argv) == code
-        out, err = capsys.readouterr()
+    def swindle(value):
+        sizes = {"--letters": "1", "--depth": "8", flag: str(value)}
+        return run(["swindle", *(x for kv in sizes.items() for x in kv)])
+
+    assert swindle(maximum) == 0
+    capsys.readouterr()
+    assert swindle(maximum + 1) == 64
+    out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and str(maximum) in err
 
 
