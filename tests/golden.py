@@ -3,8 +3,8 @@ fixed inputs, so that a refactor or an optimization can show that it changes
 no byte of output.
 
 The inputs are the six built-in examples, fixed-seed random terms and
-surfaces from `catalog.random_term`, a few larger rank towers and nested
-mixes, and user-supplied copies of derived tables. Each case is one
+surfaces from `catalog.random_term` (terms at sizes 5 and 7), a few larger
+rank towers and nested mixes, and user-supplied copies of derived tables. Each case is one
 `endscope.cli.run` call; a `certify --check` case reads the certificate the
 `certify` case before it printed.
 
@@ -56,6 +56,20 @@ def _inputs() -> list:
         doc = dict(to_json(derive_table(parse_term(src))), origin="user-supplied")
         out.append((f"user:{name}", json.dumps(doc, sort_keys=True)))
         out.append((f"user-surface:{name}", json.dumps(dict(doc, surface=True), sort_keys=True)))
+    for seed in range(32):
+        t = random_term(random.Random(f"golden-term7-{seed}"), 7)
+        out.append((f"term7:{seed}", pretty(t)))
+    left = "pt"
+    for _ in range(7):
+        left = f"mix({left},pt;g)"
+    alternating = "pt^g"
+    for i in range(8):
+        alternating = (f"mix({alternating},cantor(ord(w));g)" if i % 2
+                       else f"cantor^g({alternating},pt)")
+    out += [
+        ("nest:7", left),
+        ("nest:8", f"surface {{ genus: inf, ends: {alternating} }}"),
+    ]
     return out
 
 
