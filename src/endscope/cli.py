@@ -13,7 +13,9 @@ variable ENDSCOPE_DEPTH overrides the default checker depth of 20.
 Sizes that come from outside have fixed maxima, since the work grows with
 them without bound: ENDSCOPE_DEPTH at most 256, swindle --depth at most 4096
 and swindle --letters at most 64. A larger value, a value below 1, or a
-negative oracle --depth exits 64 with one line.
+negative oracle --depth exits 64 with one line. Terms and ordinal exponents
+in an input nest at most parser.MAX_NESTING (200) levels deep; deeper input
+exits 65 with one line.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .terms import (
     ValidationError,
     pretty,
     pretty_surface,
+    surface_check,
 )
 from .verdict import constants as exponent_dag
 from .verdict import Verdict, stone_verdict, surface_verdict
@@ -123,6 +126,10 @@ def _load(text: str):
         raise _CliError(str(e), EXIT_INPUT)
 
 
+def _is_surface(obj) -> bool:
+    return isinstance(obj, SurfaceDescriptor) or (isinstance(obj, GermTable) and obj.surface)
+
+
 def _table_of(obj) -> GermTable:
     if isinstance(obj, GermTable):
         return obj
@@ -159,10 +166,7 @@ def _class_entries(v: Verdict) -> list:
 
 
 def _report(text: str, obj) -> dict:
-    surface = isinstance(obj, SurfaceDescriptor) or (
-        isinstance(obj, GermTable) and obj.surface
-    )
-    v = surface_verdict(obj) if surface else stone_verdict(obj)
+    v = surface_verdict(obj) if _is_surface(obj) else stone_verdict(obj)
     if isinstance(obj, SurfaceDescriptor):
         normalized = pretty_surface(
             SurfaceDescriptor(obj.genus, normalize(obj.ends))
@@ -239,24 +243,15 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_classify(args) -> int:
     obj = _load(_read(args.file))
-    try:
-        if isinstance(obj, SurfaceDescriptor):
-            from .terms import surface_check
-
-            surface_check(obj.genus, obj.ends)
-        _emit_json(to_json(_table_of(obj)))
-    except ValidationError as e:
-        raise _CliError(str(e), EXIT_INPUT)
+    if isinstance(obj, SurfaceDescriptor):
+        surface_check(obj.genus, obj.ends)
+    _emit_json(to_json(_table_of(obj)))
     return 0
 
 
 def _cmd_verdict(args) -> int:
     text = _read(args.file)
-    obj = _load(text)
-    try:
-        report = _report(text, obj)
-    except ValidationError as e:
-        raise _CliError(str(e), EXIT_INPUT)
+    report = _report(text, _load(text))
     if args.format == "json":
         _emit_json(report)
     else:
@@ -265,10 +260,7 @@ def _cmd_verdict(args) -> int:
 
 
 def _certificate_for(obj, end: str) -> dict:
-    surface = isinstance(obj, SurfaceDescriptor) or (
-        isinstance(obj, GermTable) and obj.surface
-    )
-    if surface:
+    if _is_surface(obj):
         try:
             return annuli_certificate(annuli(obj, end, depth=_depth()))
         except NotTelescoping:
@@ -321,25 +313,22 @@ def _shift_brick(cert: dict) -> Brick:
 
 def _cmd_certify(args) -> int:
     obj = _load(_read(args.file))
-    try:
-        if args.check:
-            try:
-                cert = json.loads(_read(args.check))
-            except json.JSONDecodeError as e:
-                raise _CliError(f"bad certificate file: {e}", EXIT_INPUT)
-            if not isinstance(cert, dict):
-                raise _CliError("bad certificate file: not a JSON object", EXIT_INPUT)
-            problems = _check_certificate(obj, args.end, cert)
-            if problems:
-                for p in problems:
-                    print(f"check failed: {p}")
-                return 1
-            print("certificate ok")
-            return 0
-        _emit_json(_certificate_for(obj, args.end))
+    if args.check:
+        try:
+            cert = json.loads(_read(args.check))
+        except json.JSONDecodeError as e:
+            raise _CliError(f"bad certificate file: {e}", EXIT_INPUT)
+        if not isinstance(cert, dict):
+            raise _CliError("bad certificate file: not a JSON object", EXIT_INPUT)
+        problems = _check_certificate(obj, args.end, cert)
+        if problems:
+            for p in problems:
+                print(f"check failed: {p}")
+            return 1
+        print("certificate ok")
         return 0
-    except (UnknownClass, NotStable, ValidationError) as e:
-        raise _CliError(str(e), EXIT_INPUT)
+    _emit_json(_certificate_for(obj, args.end))
+    return 0
 
 
 def _cmd_swindle(args) -> int:
@@ -490,9 +479,11 @@ def run(argv=None) -> int:
         return EXIT_USAGE if code not in (0, EXIT_USAGE) else code
     try:
         return args.func(args)
-    except _CliError as e:
+    except (_CliError, ValidationError, UnknownClass, NotStable) as e:
+        # the engine's input errors (validation, unknown class ids, ends
+        # without a certificate) are all exit 65
         print(f"endscope: {e}", file=sys.stderr)
-        return e.code
+        return e.code if isinstance(e, _CliError) else EXIT_INPUT
     except BrokenPipeError:
         return 0
 

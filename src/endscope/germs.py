@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .normalize import _absorb_pass, normalize_structural
+from .normalize import _absorb_pass, fixpoint, normalize_structural
 from .ordinals import Cnf, ONE, ZERO, add, cmp, print_cnf
 from .parser import LexError, ParseError, parse_cnf
 from .terms import (
@@ -189,17 +189,11 @@ def canon(t: Term) -> Term:
     set of its color, and a one-point compactification of clopen copies of a
     same-colored Cantor-rooted space is that space itself.
     """
-    if t in _canon_cache:
-        return _canon_cache[t]
-    out = t
-    while True:
-        prev = out
-        out = normalize_structural(out)
-        out = _canon_pass(out)
-        out = _absorb_pass(out, absorbable)
-        if out == prev:
-            break
-    _canon_cache[t] = out
+    out = _canon_cache.get(t)
+    if out is None:
+        out = fixpoint(t, (normalize_structural, _canon_pass, _absorb_pass))
+        # a whole round leaves `out` unchanged, so it is its own canonical form
+        _canon_cache[t] = _canon_cache[out] = out
     return out
 
 
@@ -264,7 +258,8 @@ def cap(t: Term):
 
 
 def emb(s: Term, t: Term) -> bool:
-    """Whether germ s clopen-embeds into germ t (both canonical)."""
+    """Whether germ s (canonical) clopen-embeds into t, canonicalized first."""
+    t = canon(t)
     if s == t:
         return True
     if isinstance(s, Ord):
@@ -272,8 +267,10 @@ def emb(s: Term, t: Term) -> bool:
         return c is not None and cmp(s.rank, c) <= 0
     if _cantor_sub(s, t):
         return True
+    if isinstance(t, Sum):
+        return any(emb(s, p) for p in t.parts)
     if isinstance(t, (Mix, Cantor)):
-        return any(_emb_into(s, comp) for comp in t.components)
+        return any(emb(s, c) for c in t.components)
     return False
 
 
@@ -285,25 +282,7 @@ def _cantor_sub(s: Term, t: Term) -> bool:
         return False
     if s.color is not t.color:
         return False
-    return all(
-        any(_emb_into(c, comp) for comp in t.components) for c in s.components
-    )
-
-
-def _emb_into(s: Term, u: Term) -> bool:
-    cu = canon(u)
-    if s == cu:
-        return True
-    if isinstance(s, Ord):
-        c = cap(cu)
-        return c is not None and cmp(s.rank, c) <= 0
-    if _cantor_sub(s, cu):
-        return True
-    if isinstance(cu, Sum):
-        return any(_emb_into(s, p) for p in cu.parts)
-    if isinstance(cu, (Mix, Cantor)):
-        return any(_emb_into(s, c) for c in cu.components)
-    return False
+    return all(any(emb(c, comp) for comp in t.components) for c in s.components)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +367,9 @@ def _derive(t: Term) -> GermTable:
     pairs = {(a.id, b.id) for a in rows for b in rows if _row_leq(a, b, bound)}
     rows = _merge_mutual(rows, pairs)
     kept = {r.id for r in rows}
-    leq = _close({(y, x) for y, x in pairs if y in kept and x in kept})
     accs = _close(_acc_pairs(rows, bound))
-    leq = _close(leq | accs)
+    # closing once: the closure of closure(L) | A is the closure of L | A
+    leq = _close({(y, x) for y, x in pairs if y in kept and x in kept} | accs)
     return GermTable(tuple(sorted(rows, key=lambda r: r.id)), frozenset(leq), frozenset(accs))
 
 
@@ -503,12 +482,19 @@ def _interior_ids(g: Term, rows, bound) -> set:
         if any(r.id == sid for r in rows):
             out.add(sid)
         else:  # merged into an equivalent row
-            for r in rows:
-                if r.germ is not None and not isinstance(r.germ, Ord):
-                    if emb(sub, r.germ) and emb(r.germ, sub):
-                        out.add(r.id)
-                        break
+            match = _equivalent_row(rows, sub)
+            if match is not None:
+                out.add(match.id)
     return out
+
+
+def _equivalent_row(rows, g: Term):
+    """The first germ row, not a rank or family row, that embeds both ways
+    with g; None when there is none."""
+    for r in rows:
+        if r.germ is not None and r.rank is None and emb(g, r.germ) and emb(r.germ, g):
+            return r
+    return None
 
 
 def _close(pairs: set) -> set:
@@ -551,13 +537,7 @@ def absorbable(a: Term, b: Term) -> bool:
             if rid in tb.position and rid in acc_sources:
                 continue
             return False
-        match = None
-        for r in tb.classes:
-            if r.germ is None or r.rank is not None or r.family:
-                continue
-            if emb(row.germ, r.germ) and emb(r.germ, row.germ):
-                match = r
-                break
+        match = _equivalent_row(tb.classes, row.germ)
         if match is None:
             return False
         if match.kind != CANTOR and match.id not in acc_sources:
@@ -626,6 +606,13 @@ def isolated_in_Eg(table: GermTable, x: str) -> bool:
         if tgt == r.id and table.row(z).color is Color.GENUS:
             return False
     return True
+
+
+def family_accumulates(table: GermTable, cid: str) -> bool:
+    """Whether a family row other than class cid accumulates onto it."""
+    return any(
+        z.family and z.id != cid and (z.id, cid) in table.acc for z in table.classes
+    )
 
 
 def predecessors(table: GermTable, x: str):

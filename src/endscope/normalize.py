@@ -14,8 +14,14 @@ Rules, applied bottom-up to a fixed point:
   R5  a countable all-planar subterm collapses to its rank/degree canonical
       form Ord(rank, degree)
 
-`normalize_structural` applies R1/R2/R3/R5 only and has no dependency on the
-germ machinery; the germ engine itself canonicalizes through it.
+Every rewriter is one loop, `fixpoint(t, passes)`, which applies its passes
+in order until a whole round changes nothing. `normalize_structural` runs the
+pass list `(_pass,)`, R1/R2/R3/R5 only, and has no dependency on the germ
+machinery; the germ engine itself canonicalizes through it. `normalize` runs
+`(normalize_structural, _absorb_pass)`, adding R4. `germs.canon` runs
+`(normalize_structural, _canon_pass, _absorb_pass)`: the same list with the
+two homeomorphism rewrites of `_canon_pass` before R4. R4 keeps the first of
+two mutually absorbable siblings, so the pass order fixes the result.
 """
 
 from __future__ import annotations
@@ -36,13 +42,19 @@ from .terms import (
 )
 
 
+def fixpoint(t: Term, passes) -> Term:
+    """Apply `passes` in order until a whole round leaves t unchanged."""
+    while True:
+        prev = t
+        for p in passes:
+            t = p(t)
+        if t == prev:
+            return t
+
+
 def normalize_structural(t: Term) -> Term:
     """R1/R2/R3/R5 to a fixed point, bottom-up."""
-    while True:
-        t2 = _pass(t)
-        if t2 == t:
-            return t2
-        t = t2
+    return fixpoint(t, (_pass,))
 
 
 def _pass(t: Term) -> Term:
@@ -62,12 +74,7 @@ def _pass(t: Term) -> Term:
             else:
                 comps.append(c)
         return _collapse(mk_cantor(_dedup(comps), t.color))
-    parts = []
-    for p in (_pass(p) for p in t.parts):
-        if isinstance(p, Sum):  # R1
-            parts.extend(p.parts)
-        else:
-            parts.append(p)
+    parts = _splice_sums(_pass(p) for p in t.parts)  # R1
     if len(parts) == 1:
         return parts[0]
     return _collapse(Sum(tuple(parts)))
@@ -107,27 +114,26 @@ def _collapse(t: Term) -> Term:
 def normalize(t: Term) -> Term:
     """Full normal form: structural rules plus sibling absorption (R4)."""
     require_valid(t)
+    return fixpoint(t, (normalize_structural, _absorb_pass))
+
+
+def _absorb_pass(t: Term) -> Term:
+    """R4, one bottom-up pass."""
     from .germs import absorbable  # deferred: germs canonicalizes via this module
 
-    t = normalize_structural(t)
-    while True:
-        t2 = _absorb_pass(t, absorbable)
-        t2 = normalize_structural(t2)
-        if t2 == t:
-            return t2
-        t = t2
+    return _absorb(t, absorbable)
 
 
-def _absorb_pass(t: Term, absorbable) -> Term:
+def _absorb(t: Term, absorbable) -> Term:
     if isinstance(t, (Pt, Ord)):
         return t
     if isinstance(t, (Mix, Cantor)):
-        comps = [_absorb_pass(c, absorbable) for c in t.components]
+        comps = [_absorb(c, absorbable) for c in t.components]
         comps = _drop_absorbed(comps, absorbable)
         if isinstance(t, Mix):
             return mk_mix(comps, t.limit_color)
         return mk_cantor(comps, t.color)
-    parts = [_absorb_pass(p, absorbable) for p in t.parts]
+    parts = [_absorb(p, absorbable) for p in t.parts]
     parts = _drop_absorbed(parts, absorbable)
     if len(parts) == 1:
         return parts[0]

@@ -150,46 +150,6 @@ def _cantor_node(distinct_comps, color: Color, d: int, memo: dict) -> TrNode:
     return node
 
 
-def trim(tr: Truncation, depth: int) -> Truncation:
-    """Project a truncation down to a smaller depth."""
-    if depth > tr.depth:
-        raise ValueError("cannot deepen a truncation")
-
-    def cut(node: TrNode, d: int) -> TrNode:
-        if d <= 0 and node.groups:
-            below = _subtrees(node)
-            hidden_colors = frozenset(n.color for n in below).union(
-                *(n.hidden_colors for n in below)
-            )
-            hidden_iso = frozenset(
-                n.color for n in below if n.mark == "point"
-            ).union(*(n.hidden_iso for n in below))
-            mark = "dust" if node.mark == "dust" else "deep"
-            return TrNode(
-                node.color,
-                mark,
-                hidden_colors=hidden_colors,
-                hidden_iso=hidden_iso,
-                hidden_dust=any(
-                    n.mark == "dust" or n.hidden_dust for n in below
-                ),
-            )
-        out = TrNode(
-            node.color,
-            node.mark,
-            hidden_colors=node.hidden_colors,
-            hidden_iso=node.hidden_iso,
-            hidden_dust=node.hidden_dust,
-        )
-        # dust groups (left/right/insertions) are structural, one group per
-        # round everywhere else
-        kept = node.groups if node.mark == "dust" else node.groups[:d]
-        out.groups = [[cut(c, d - 1) for c in grp] for grp in kept]
-        return out
-
-    return Truncation(depth, [cut(r, depth) for r in tr.roots])
-
-
 # ---------------------------------------------------------------------------
 # Cantor-Bendixson brute force
 

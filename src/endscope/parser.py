@@ -10,6 +10,9 @@ Grammar (whitespace-insensitive):
     colorword:= "planar" | "g"
     termlist := term ("," term)*
     cnf      := cterm ("+" cterm)* ; cterm := "w" ("^" "(" cnf ")")? ("*" nat)? | nat
+
+Terms and ordinal exponents nest at most MAX_NESTING levels deep; deeper
+input is a ParseError, not a recursion overflow.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ class ParseError(SyntaxError):
 KEYWORDS = {"pt", "ord", "mix", "cantor", "sum", "surface", "genus", "ends",
             "inf", "planar", "g", "w"}
 SYMBOLS = "(){},;:+*^"
+MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = lex(text)
         self.pos = 0
+        self.depth = 0  # terms and exponents open around the current token
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -122,6 +127,15 @@ class _Parser:
     def at_word(self, word: str) -> bool:
         tok = self.peek()
         return tok.kind == "name" and tok.text == word
+
+    def nested(self, rule):
+        """Parse `rule` one nesting level deeper, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"input nests deeper than the maximum of {MAX_NESTING} levels")
+        self.depth += 1
+        node = rule()
+        self.depth -= 1
+        return node
 
     # -- entry points ----------------------------------------------------
 
@@ -152,6 +166,9 @@ class _Parser:
         return SurfaceDescriptor(genus, ends)
 
     def term(self) -> Term:
+        return self.nested(self._term)
+
+    def _term(self) -> Term:
         tok = self.peek()
         if tok.kind != "name":
             self.fail("expected a term")
@@ -236,7 +253,7 @@ class _Parser:
             if self.peek().kind == "^":
                 self.next()
                 self.expect("(")
-                exponent = self.cnf()
+                exponent = self.nested(self.cnf)
                 self.expect(")")
             value = omega_pow(exponent)
             if self.peek().kind == "*":

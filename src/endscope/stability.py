@@ -14,7 +14,14 @@ import math
 import random
 from dataclasses import dataclass
 
-from .germs import GermTable, canon, derive_table, _resolve
+from .germs import (
+    GermTable,
+    canon,
+    derive_table,
+    family_accumulates,
+    maximal_classes,
+    _resolve,
+)
 from .normalize import normalize_structural
 from .ordinals import Cnf, ZERO, cmp, fundamental, print_cnf
 from .terms import (
@@ -26,6 +33,7 @@ from .terms import (
     SurfaceDescriptor,
     Term,
     ValidationError,
+    has_genus,
     mk_mix,
     pretty,
     require_valid,
@@ -99,12 +107,10 @@ class Unknown:
 def stable_nbhd(table: GermTable, x: str):
     row = _resolve(table, x)
     if not table.has_germs:
-        for z in table.classes:
-            if z.family and z.id != row.id and (z.id, row.id) in table.acc:
-                return Unstable(
-                    "cofinally many incomparable maximal germs accumulate at "
-                    + row.id
-                )
+        if family_accumulates(table, row.id):
+            return Unstable(
+                "cofinally many incomparable maximal germs accumulate at " + row.id
+            )
         return Unknown("no decomposition witness derivable from a bare table")
     if row.family:
         bound = row.family_bound
@@ -430,8 +436,6 @@ def partition_stable(t: Term) -> list:
         if r.germ == g:
             return [(t, r.id)]
     # the basepoint class merged into an equivalent row; use the top class
-    from .germs import maximal_classes
-
     return [(t, sorted(maximal_classes(table))[0])]
 
 
@@ -481,8 +485,6 @@ def annuli(s, x: str, depth: int = DEFAULT_DEPTH) -> AnnulusDecomposition:
         content = comps[0] if len(comps) == 1 else Sum(comps)
     ctab = derive_table(content)
     ids = tuple(sorted(ctab.ids()))
-    from .terms import has_genus
-
     flag = has_genus(content)
     rings = tuple(
         Annulus(k, ids, flag, term=content) for k in range(depth)

@@ -28,6 +28,7 @@ from .germs import (
     Successor,
     cantor_type,
     derive_table,
+    family_accumulates,
     isolated_in_Eg,
     predecessors,
     _pair_leq,
@@ -112,18 +113,21 @@ def telescoping(table: GermTable, x: str, surface_context: bool = True) -> Teles
         )
         if not blocked:
             return TelescopingResult(x, "telescoping", case="iii")
-    return TelescopingResult(x, "not_telescoping", failure=failure_case(table, x, _preds=preds))
+    return TelescopingResult(x, "not_telescoping", failure=_failure(table, row, x))
 
 
-def failure_case(table: GermTable, x: str, _preds=None) -> str:
-    row = _resolve(table, x)
+def failure_case(table: GermTable, x: str) -> str:
+    """The failure case of a class that is not telescoping."""
+    result = telescoping(table, x)
+    if result.status == "telescoping":
+        raise IsTelescoping(x)
+    return result.failure
+
+
+def _failure(table: GermTable, row, x: str) -> str:
+    """F1, F2 or F3 for a row that `telescoping` found not telescoping."""
     if not row.family and row.color is Color.GENUS and isolated_in_Eg(table, x):
         return "F1"
-    if _preds is None:
-        probe = telescoping(table, x)
-        if probe.status == "telescoping":
-            raise IsTelescoping(x)
-        return probe.failure
     # F2: a countable class sits strictly below x
     for z in table.classes:
         below = _pair_leq(table, z, row) and not _pair_leq(table, row, z)
@@ -187,10 +191,7 @@ def _sufficiency_verdict(table: GermTable, per_class, facts: dict) -> Verdict:
         ):
             hits.append("F2")
             continue
-        if any(
-            z.family and (z.id, r.id) in table.acc and z.id != r.id
-            for z in table.classes
-        ):
+        if family_accumulates(table, r.id):
             hits.append("F3")
     for f in ("F1", "F2", "F3"):
         if f in hits:

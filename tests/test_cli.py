@@ -97,9 +97,28 @@ def test_certify_detects_tampering(tmp_path, capsys):
     assert run(["certify", f, "--end", "mix(cantor(),cantor^g();g)", "--check", c]) == 1
 
 
-def test_certify_unknown_end(tmp_path):
+def test_certify_unknown_end(tmp_path, capsys):
     f = _write(tmp_path, "ml", EXAMPLES["mona-lisa"])
-    assert run(["certify", f, "--end", "nope"]) == 65
+    assert run(["certify", f, "--end", "cantor()"]) == 0
+    cert = _write(tmp_path, "cert.json", capsys.readouterr().out)
+    for check in ([], ["--check", cert]):
+        assert run(["certify", f, "--end", "nope", *check]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "endscope: 'nope'\n"
+
+
+@pytest.mark.parametrize("command,levels", [("parse", 1000), ("classify", 300)])
+def test_deep_nesting_is_an_input_error(tmp_path, capsys, command, levels):
+    term = "pt"
+    for _ in range(levels - 1):
+        term = f"mix({term},pt;g)"
+    f = _write(tmp_path, "deep.txt", term)
+    assert run([command, f]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("endscope: input nests deeper than the maximum of 200 levels")
+    assert err.count("\n") == 1
 
 
 def test_certify_falls_back_to_decomposition(tmp_path, capsys):

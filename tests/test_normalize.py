@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catalog import catalog, random_term
-from endscope.normalize import normalize, normalize_structural
+from endscope import germs
+from endscope.germs import _canon_pass, canon
+from endscope.normalize import _absorb_pass, fixpoint, normalize, normalize_structural
 from endscope.oracle import equiv_invariants
 from endscope.parser import parse_term
 from endscope.terms import ValidationError, Mix, Pt, Color, pretty
@@ -79,3 +83,47 @@ def test_structural_normalization_is_stable_under_full_normalize():
         t = random_term(rng)
         full = normalize(t)
         assert normalize_structural(full) == full
+
+
+# seeded random terms at the generator's default size 5 and at size 7
+_terms = st.tuples(st.integers(0, 2**32), st.sampled_from([5, 7])).map(
+    lambda p: random_term(random.Random(p[0]), p[1])
+)
+
+
+# one of the few random terms whose normal form takes two rounds: R4 makes
+# two mix components equal, and only the next round's R2 merges them
+_TWO_ROUNDS = ("cantor^g(pt,sum(pt,mix(pt,sum(ord(w^(2)*2),ord(w^(w)*3),mix(pt^g,"
+               "sum(ord(w^(w*2)*3),pt^g,pt);g)),sum(mix(mix(pt,pt;planar),sum(pt,"
+               "ord(w^(w*2)*3),pt^g);g),pt);g)))")
+
+
+@settings(max_examples=200)
+@given(_terms)
+@example(parse_term(_TWO_ROUNDS))
+def test_canon_and_normalize_are_idempotent(t):
+    c = canon(t)
+    # canon stores its result as its own canonical form; that is sound only
+    # if a whole round of its passes leaves the result unchanged
+    for p in (normalize_structural, _canon_pass, _absorb_pass):
+        assert p(c) == c, pretty(t)
+    germs._canon_cache.pop(c, None)  # recompute rather than read it back
+    assert canon(c) == c
+    once = normalize(t)
+    assert normalize(once) == once, pretty(t)
+
+
+def test_fixpoint_runs_whole_rounds_in_order():
+    calls = []
+
+    def halve(x):
+        calls.append(("halve", x))
+        return x // 2
+
+    def floor_at_one(x):
+        calls.append(("floor", x))
+        return max(x, 1)
+
+    assert fixpoint(8, (halve, floor_at_one)) == 1
+    # the last round changes 1 to 0 and back: only the whole round is compared
+    assert [c[0] for c in calls] == ["halve", "floor"] * 4

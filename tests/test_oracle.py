@@ -12,7 +12,6 @@ from endscope.oracle import (
     cb_bruteforce,
     equiv_invariants,
     tr_embeds,
-    trim,
     truncate,
 )
 from endscope.parser import parse_term
@@ -39,27 +38,6 @@ def test_extinction_matches_cb_rank_on_countable_catalog():
         assert counts[-1] == 0, t
         assert len(counts) - 1 == r + 1, t
         assert counts[r] == degree, t
-
-
-def test_trim_projects_consistently():
-    for src in ["ord(w^(2))", "cantor(pt,ord(w))", "mix(cantor^g(),cantor();g)"]:
-        t = parse_term(src)
-        deep = truncate(t, 4)
-        for d in range(4):
-            a = trim(deep, d)
-            b = truncate(t, d)
-            assert _shape(a.roots) == _shape(b.roots), (src, d)
-
-
-def _shape(roots):
-    return [
-        (n.color, n.mark, [_shape(grp) for grp in n.groups]) for n in roots
-    ]
-
-
-def test_trim_cannot_deepen():
-    with pytest.raises(ValueError):
-        trim(truncate(parse_term("pt"), 1), 2)
 
 
 def test_bundle_fields():

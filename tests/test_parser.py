@@ -2,7 +2,7 @@ import pytest
 
 from catalog import CATALOG_SOURCES
 from endscope.ordinals import ONE, OMEGA, from_nat
-from endscope.parser import LexError, ParseError, parse, parse_term
+from endscope.parser import MAX_NESTING, LexError, ParseError, parse, parse_cnf, parse_term
 from endscope.terms import (
     Color,
     Mix,
@@ -77,3 +77,32 @@ def test_whitespace_insensitive():
     a = parse_term("mix( cantor^g() , cantor() ; g )")
     b = parse_term("mix(cantor^g(),cantor();g)")
     assert a == b
+
+
+
+def _wrap(times: int, wrap: str, inner: str) -> str:
+    for _ in range(times):
+        inner = wrap.format(inner)
+    return inner
+
+
+@pytest.mark.parametrize("outer,wrap,leaf", [
+    ("{}", "mix({},pt;g)", "pt"),
+    ("{}", "cantor({})", "pt"),
+    ("{}", "sum({},pt)", "pt"),
+    ("ord({})", "w^({})", "1"),  # exponents nest one level below the ord term
+])
+def test_nesting_has_a_maximum(outer, wrap, leaf):
+    # the outermost term is one level, and each wrap adds one
+    parse(outer.format(_wrap(MAX_NESTING - 1, wrap, leaf)))
+    deeper = outer.format(_wrap(MAX_NESTING, wrap, leaf))
+    with pytest.raises(ParseError, match=f"maximum of {MAX_NESTING} levels"):
+        parse(deeper)
+    with pytest.raises(ParseError, match=f"maximum of {MAX_NESTING} levels"):
+        parse(f"surface {{ genus: inf, ends: {deeper} }}")
+
+
+def test_exponents_alone_have_the_same_maximum():
+    parse_cnf(_wrap(MAX_NESTING, "w^({})", "1"))
+    with pytest.raises(ParseError, match=f"maximum of {MAX_NESTING} levels"):
+        parse_cnf(_wrap(MAX_NESTING + 1, "w^({})", "1"))

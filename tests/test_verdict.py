@@ -73,6 +73,11 @@ def test_genus_isolation_clause_only_binds_surfaces():
 def test_failure_case_rejects_telescoping_basepoints():
     with pytest.raises(IsTelescoping):
         failure_case(_table("cantor()"), "cantor()")
+    # a genus class of cantor kind is case ii even when isolated among genus
+    # ends, which only a user table can say
+    lone = from_json({"classes": [{"id": "c", "kind": "cantor", "color": "genus"}]})
+    with pytest.raises(IsTelescoping):
+        failure_case(lone, "c")
 
 
 def test_surface_verdict_goldens():
