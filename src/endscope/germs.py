@@ -517,30 +517,26 @@ def absorbable(a: Term, b: Term) -> bool:
     """Whether copies of a add no new structure next to b.
 
     True iff every class of a matches a class of b that accumulates
-    somewhere inside b (or is of cantor kind), so the copies can be slid
-    into the accumulation sites of b without changing any germ.
+    somewhere inside b, so the copies can be slid into the accumulation
+    sites of b without changing any germ. In a derived table a class
+    accumulates somewhere exactly when its kind is not finite (compactness),
+    so the kind decides; the family row is countable, so it always does.
     """
     ta, tb = derive_table(a), derive_table(b)
     fam_b = tb.family_row
-    acc_sources = {z for (z, _) in tb.acc}
     for row in ta.classes:
         if row.family:
             if fam_b is None or cmp(fam_b.family_bound, row.family_bound) < 0:
-                return False
-            if FAMILY_ID not in acc_sources:
                 return False
             continue
         if row.rank is not None:
             if fam_b is not None and cmp(row.rank, fam_b.family_bound) < 0:
                 continue  # family members accumulate along the rank chain
-            rid = _rank_id(row.rank)
-            if rid in tb.position and rid in acc_sources:
-                continue
-            return False
-        match = _equivalent_row(tb.classes, row.germ)
-        if match is None:
-            return False
-        if match.kind != CANTOR and match.id not in acc_sources:
+            i = tb.position.get(_rank_id(row.rank))
+            match = None if i is None else tb.classes[i]
+        else:
+            match = _equivalent_row(tb.classes, row.germ)
+        if match is None or match.kind.is_finite:
             return False
     return True
 

@@ -75,9 +75,9 @@ def lex(text: str) -> list:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not isdigit(): int() rejects "²" and reads "٣" as 3
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("nat", text[i:j], line, col))
             col += j - i

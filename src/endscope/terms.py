@@ -15,12 +15,17 @@ Constructors:
   Cantor(components, color)  Cantor set with copies of each component inserted
                              densely into the gaps
   Sum(parts)                 disjoint clopen union
+
+Each term sets its hash, size, colors, countability and perfectness when it is
+built, from its own fields and the facts its children already hold, so
+`term_size`, `colors_of`, `has_genus`, `is_countable` and `is_perfect` read a
+stored value and never walk the term.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .ordinals import Cnf, ZERO, add, cmp, from_nat, mul_nat, omega_pow
@@ -50,90 +55,93 @@ class NotAllPlanar(ValueError):
     pass
 
 
-# Terms are immutable and shared, so each one computes its hash and size once,
-# when it is built, and its rendering the first time `pretty` asks. The hash is
-# the one the generated dataclass `__hash__` gives, hash(tuple of fields), so
+# Terms are immutable and shared, so each one computes its facts once, in its
+# constructor, from its own fields and its children's facts: the hash, the size,
+# the colors (a mask of `_BIT` values), whether it is countable and whether it
+# is perfect. Its rendering is computed the first time `pretty` asks. The hash
+# is the one the generated dataclass `__hash__` gives, hash(tuple of fields), so
 # the order of sets and dicts of terms does not change.
-_CACHE = dict(init=False, repr=False, compare=False)
+_BIT = {Color.PLANAR: 1, Color.GENUS: 2}
+_COLOR_SETS = tuple(frozenset(c for c in Color if mask & _BIT[c]) for mask in range(4))
 
 
-def _seal(t, fields: tuple, size: int) -> None:
-    object.__setattr__(t, "_hash", hash(fields))
-    object.__setattr__(t, "_size", size)
+class _Node:
+    __slots__ = ("_hash", "_size", "_text", "_colors", "_countable", "_perfect")
 
+    def _seal(self, fields: tuple, kids=(), colors=0, countable=True, perfect=True):
+        size = 1
+        for k in kids:
+            size += k._size
+            colors |= k._colors
+            countable = countable and k._countable
+            perfect = perfect and k._perfect
+        set_ = object.__setattr__
+        set_(self, "_hash", hash(fields))
+        set_(self, "_size", size)
+        set_(self, "_text", None)
+        set_(self, "_colors", colors)
+        set_(self, "_countable", countable)
+        set_(self, "_perfect", perfect)
 
-def _cached_hash(t) -> int:
-    return t._hash
+    # each subclass names it again: `dataclass(frozen=True)` generates a
+    # `__hash__` for any class whose own body does not define one
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
-class Pt:
+class Pt(_Node):
     color: Color = Color.PLANAR
-    _hash: int = field(**_CACHE)
-    _size: int = field(**_CACHE)
-    _text: str = field(default=None, **_CACHE)
 
     def __post_init__(self):
-        _seal(self, (self.color,), 1)
+        self._seal((self.color,), colors=_BIT[self.color], perfect=False)
 
-    __hash__ = _cached_hash
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
-class Ord:
+class Ord(_Node):
     rank: Cnf
     degree: int
-    _hash: int = field(**_CACHE)
-    _size: int = field(**_CACHE)
-    _text: str = field(default=None, **_CACHE)
 
     def __post_init__(self):
-        _seal(self, (self.rank, self.degree), 1)
+        self._seal((self.rank, self.degree), colors=_BIT[Color.PLANAR], perfect=False)
 
-    __hash__ = _cached_hash
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
-class Mix:
+class Mix(_Node):
     components: tuple
     limit_color: Color
-    _hash: int = field(**_CACHE)
-    _size: int = field(**_CACHE)
-    _text: str = field(default=None, **_CACHE)
 
     def __post_init__(self):
-        size = 1 + sum(c._size for c in self.components)
-        _seal(self, (self.components, self.limit_color), size)
+        fields = (self.components, self.limit_color)
+        self._seal(fields, self.components, _BIT[self.limit_color])
 
-    __hash__ = _cached_hash
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
-class Cantor:
+class Cantor(_Node):
     components: tuple = ()
     color: Color = Color.PLANAR
-    _hash: int = field(**_CACHE)
-    _size: int = field(**_CACHE)
-    _text: str = field(default=None, **_CACHE)
 
     def __post_init__(self):
-        size = 1 + sum(c._size for c in self.components)
-        _seal(self, (self.components, self.color), size)
+        fields = (self.components, self.color)
+        self._seal(fields, self.components, _BIT[self.color], countable=False)
 
-    __hash__ = _cached_hash
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True, slots=True)
-class Sum:
+class Sum(_Node):
     parts: tuple
-    _hash: int = field(**_CACHE)
-    _size: int = field(**_CACHE)
-    _text: str = field(default=None, **_CACHE)
 
     def __post_init__(self):
-        _seal(self, (self.parts,), 1 + sum(p._size for p in self.parts))
+        self._seal((self.parts,), self.parts)
 
-    __hash__ = _cached_hash
+    __hash__ = _Node.__hash__
 
 
 Term = Union[Pt, Ord, Mix, Cantor, Sum]
@@ -201,49 +209,21 @@ def mk_cantor(components, color: Color) -> Cantor:
 
 
 def colors_of(t: Term) -> frozenset:
-    if isinstance(t, Pt):
-        return frozenset({t.color})
-    if isinstance(t, Ord):
-        return frozenset({Color.PLANAR})
-    if isinstance(t, Mix):
-        out = frozenset({t.limit_color})
-        for c in t.components:
-            out |= colors_of(c)
-        return out
-    if isinstance(t, Cantor):
-        out = frozenset({t.color})
-        for c in t.components:
-            out |= colors_of(c)
-        return out
-    out = frozenset()
-    for p in t.parts:
-        out |= colors_of(p)
-    return out
+    return _COLOR_SETS[t._colors]
 
 
 def has_genus(t: Term) -> bool:
-    return Color.GENUS in colors_of(t)
+    return bool(t._colors & _BIT[Color.GENUS])
 
 
 def is_countable(t: Term) -> bool:
     """No Cantor node anywhere."""
-    if isinstance(t, (Pt, Ord)):
-        return True
-    if isinstance(t, Cantor):
-        return False
-    kids = t.components if isinstance(t, Mix) else t.parts
-    return all(is_countable(k) for k in kids)
+    return t._countable
 
 
 def is_perfect(t: Term) -> bool:
     """No isolated points."""
-    if isinstance(t, (Pt, Ord)):
-        return False
-    if isinstance(t, Mix):
-        return all(is_perfect(c) for c in t.components)
-    if isinstance(t, Cantor):
-        return all(is_perfect(c) for c in t.components)
-    return all(is_perfect(p) for p in t.parts)
+    return t._perfect
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +244,13 @@ def validate(t: Term) -> list:
         if isinstance(u, Mix):
             if not u.components:
                 out.append("mix needs at least one component")
-            if u.limit_color is not Color.GENUS and any(
-                has_genus(c) for c in u.components
-            ):
+            if u.limit_color is not Color.GENUS and has_genus(u):
                 out.append(f"genus closedness violated at {pretty(u)}")
             for c in u.components:
                 walk(c)
             return
         if isinstance(u, Cantor):
-            if u.color is not Color.GENUS and any(has_genus(c) for c in u.components):
+            if u.color is not Color.GENUS and has_genus(u):
                 out.append(f"genus closedness violated at {pretty(u)}")
             for c in u.components:
                 walk(c)

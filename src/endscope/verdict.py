@@ -31,8 +31,8 @@ from .germs import (
     family_accumulates,
     isolated_in_Eg,
     predecessors,
-    _pair_leq,
     _resolve,
+    _strictly_below,
 )
 from .ordinals import ONE, cmp
 from .stability import Stable, stable_nbhd
@@ -129,10 +129,8 @@ def _failure(table: GermTable, row, x: str) -> str:
     if not row.family and row.color is Color.GENUS and isolated_in_Eg(table, x):
         return "F1"
     # F2: a countable class sits strictly below x
-    for z in table.classes:
-        below = _pair_leq(table, z, row) and not _pair_leq(table, row, z)
-        if below and z.kind != CANTOR:
-            return "F2"
+    if any(table.classes[i].kind != CANTOR for i in _strictly_below(table, row)):
+        return "F2"
     return "F3"
 
 

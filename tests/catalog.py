@@ -47,6 +47,10 @@ CATALOG_SOURCES = [
     "sum(cantor^g(pt),ord(w+1))",
 ]
 
+# inputs whose digits lie outside 0-9: str.isdigit() accepts each of them, and
+# int() rejects the superscripts and reads "\u0663" (Arabic-Indic three) as 3
+NON_ASCII_DIGITS = ["ord(\u00b2)", "ord(w*\u00b9)", "surface { genus: \u00b2, ends: pt }", "ord(\u0663)"]
+
 # countable all-planar terms with ranks 0..3 for derivative cross-checks
 COUNTABLE_SOURCES = [
     "pt",

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from catalog import NON_ASCII_DIGITS
 from endscope import cli, germs, stability
 from endscope.cli import _load, run
 from endscope.examples_builtin import EXAMPLES
@@ -118,6 +119,17 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys, command, levels):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("endscope: input nests deeper than the maximum of 200 levels")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", NON_ASCII_DIGITS)
+@pytest.mark.parametrize("command", ["parse", "verdict"])
+def test_non_ascii_digits_are_an_input_error(tmp_path, capsys, command, text):
+    f = _write(tmp_path, "digits.txt", text)
+    assert run([command, f]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("endscope: unknown character ")
     assert err.count("\n") == 1
 
 

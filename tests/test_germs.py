@@ -494,3 +494,13 @@ _MERGING = [
 @given(st.one_of(random_terms, st.sampled_from(_MERGING).map(parse_term)))
 def test_derive_matches_two_pass_reference(term):
     assert derive_table(term) == _two_pass_derive(term)
+
+
+@settings(max_examples=300)
+@given(st.one_of(random_terms, st.sampled_from(_MERGING).map(parse_term)))
+def test_a_derived_class_accumulates_exactly_when_its_kind_is_not_finite(term):
+    # compactness: infinitely many points accumulate somewhere; `absorbable`
+    # reads accumulation off the kind because of this
+    table = derive_table(term)
+    sources = {z for z, _ in table.acc}
+    assert sources == {r.id for r in table.classes if not r.kind.is_finite}

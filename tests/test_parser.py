@@ -1,6 +1,6 @@
 import pytest
 
-from catalog import CATALOG_SOURCES
+from catalog import CATALOG_SOURCES, NON_ASCII_DIGITS
 from endscope.ordinals import ONE, OMEGA, from_nat
 from endscope.parser import MAX_NESTING, LexError, ParseError, parse, parse_cnf, parse_term
 from endscope.terms import (
@@ -71,6 +71,12 @@ def test_lex_errors():
         parse_term("frob(pt)")
     with pytest.raises(LexError):
         parse_term("pt $")
+
+
+@pytest.mark.parametrize("text", NON_ASCII_DIGITS)
+def test_only_ascii_digits_are_numbers(text):
+    with pytest.raises(LexError, match="unknown character"):
+        parse(text)
 
 
 def test_whitespace_insensitive():

@@ -1,9 +1,10 @@
-from dataclasses import fields, make_dataclass
+from dataclasses import fields, make_dataclass, replace
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from catalog import catalog, cnfs, raw_terms
+from catalog import catalog, cnfs, random_terms, raw_terms
 from endscope.ordinals import ONE, OMEGA, ZERO, Cnf, add, from_nat, mul_nat, omega_pow, print_cnf
 from endscope.parser import parse_term
 from endscope.terms import (
@@ -205,3 +206,85 @@ def test_cached_size_and_rendering_match_a_fresh_computation(t):
         for u in _subterms(t):
             assert term_size(u) == _ref_size(u)
             assert pretty(u) == _ref_pretty(u)
+
+
+# ---------------------------------------------------------------------------
+# stored facts against the recursive walkers they replace
+
+
+def _ref_colors_of(t) -> frozenset:
+    if isinstance(t, Pt):
+        return frozenset({t.color})
+    if isinstance(t, Ord):
+        return frozenset({Color.PLANAR})
+    if isinstance(t, Mix):
+        out = frozenset({t.limit_color})
+        for c in t.components:
+            out |= _ref_colors_of(c)
+        return out
+    if isinstance(t, Cantor):
+        out = frozenset({t.color})
+        for c in t.components:
+            out |= _ref_colors_of(c)
+        return out
+    out = frozenset()
+    for p in t.parts:
+        out |= _ref_colors_of(p)
+    return out
+
+
+def _ref_has_genus(t) -> bool:
+    return Color.GENUS in _ref_colors_of(t)
+
+
+def _ref_is_countable(t) -> bool:
+    """No Cantor node anywhere."""
+    if isinstance(t, (Pt, Ord)):
+        return True
+    if isinstance(t, Cantor):
+        return False
+    kids = t.components if isinstance(t, Mix) else t.parts
+    return all(_ref_is_countable(k) for k in kids)
+
+
+def _ref_is_perfect(t) -> bool:
+    """No isolated points."""
+    if isinstance(t, (Pt, Ord)):
+        return False
+    if isinstance(t, Mix):
+        return all(_ref_is_perfect(c) for c in t.components)
+    if isinstance(t, Cantor):
+        return all(_ref_is_perfect(c) for c in t.components)
+    return all(_ref_is_perfect(p) for p in t.parts)
+
+
+_FLIP = {Color.PLANAR: Color.GENUS, Color.GENUS: Color.PLANAR}
+
+
+def _rebuilt(t):
+    """t rebuilt by dataclasses.replace: as it is, and with its own color flipped."""
+    yield replace(t)
+    for name in ("color", "limit_color"):
+        if hasattr(t, name):
+            yield replace(t, **{name: _FLIP[getattr(t, name)]})
+
+
+@given(st.one_of(raw_terms, random_terms))
+def test_stored_facts_match_the_recursive_walkers(t):
+    for u in _subterms(t):
+        for v in (u, *_rebuilt(u)):
+            assert colors_of(v) == _ref_colors_of(v)
+            assert has_genus(v) == _ref_has_genus(v)
+            assert is_countable(v) == _ref_is_countable(v)
+            assert is_perfect(v) == _ref_is_perfect(v)
+            assert term_size(v) == _ref_size(v)
+
+
+@given(raw_terms, raw_terms)
+def test_equal_color_sets_are_one_shared_object(a, b):
+    assert (colors_of(a) == colors_of(b)) == (colors_of(a) is colors_of(b))
+
+
+def test_different_terms_share_their_color_set():
+    a, b = parse_term("mix(ord(w),pt^g;g)"), parse_term("sum(pt,cantor^g())")
+    assert a != b and colors_of(a) is colors_of(b)
