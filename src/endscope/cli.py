@@ -14,8 +14,9 @@ Sizes that come from outside have fixed maxima, since the work grows with
 them without bound: ENDSCOPE_DEPTH at most 256, swindle --depth at most 4096
 and swindle --letters at most 64. A larger value, a value below 1, or a
 negative oracle --depth exits 64 with one line. Terms and ordinal exponents
-in an input nest at most parser.MAX_NESTING (200) levels deep; deeper input
-exits 65 with one line.
+in an input nest at most parser.MAX_NESTING (200) levels deep, and one oracle
+sample tree holds at most oracle.MAX_SAMPLE_NODES (250,000) nodes; deeper or
+larger input exits 65 with one line.
 """
 
 from __future__ import annotations

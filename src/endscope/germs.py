@@ -257,9 +257,22 @@ def cap(t: Term):
     return best
 
 
+_emb_cache: dict = {}
+
+
 def emb(s: Term, t: Term) -> bool:
-    """Whether germ s (canonical) clopen-embeds into t, canonicalized first."""
+    """Whether germ s (canonical) clopen-embeds into t, canonicalized first.
+    Each pair (s, canon(t)) is decided once per process."""
     t = canon(t)
+    key = (s, t)
+    out = _emb_cache.get(key)
+    if out is None:
+        out = _emb_cache[key] = _emb(s, t)
+    return out
+
+
+def _emb(s: Term, t: Term) -> bool:
+    """`emb` on a canonical t, unmemoized; recursion goes through `emb`."""
     if s == t:
         return True
     if isinstance(s, Ord):
@@ -355,11 +368,18 @@ _derive_cache: dict = {}
 
 
 def derive_table(t: Term) -> GermTable:
-    require_valid(t)
-    t = normalize_structural(t)
-    if t not in _derive_cache:
-        _derive_cache[t] = _derive(t)
-    return _derive_cache[t]
+    """The table of t, cached under t as given and under its structural
+    normal form, so a hit neither validates nor normalizes again. An invalid
+    term is never cached and raises on every call."""
+    table = _derive_cache.get(t)
+    if table is None:
+        require_valid(t)
+        n = normalize_structural(t)
+        table = _derive_cache.get(n)
+        if table is None:
+            table = _derive(n)
+        _derive_cache[t] = _derive_cache[n] = table
+    return table
 
 
 def _derive(t: Term) -> GermTable:
@@ -416,6 +436,9 @@ def _row_leq(a: GermClass, b: GermClass, bound) -> bool:
         return c is not None and cmp(bound, add(c, ONE)) <= 0
     if b.family:
         return a.rank is not None and cmp(a.rank, bound) < 0
+    if a.rank is not None and b.rank is not None:
+        # what emb(Ord(a.rank, 1), Ord(b.rank, 1)) decides through cap
+        return cmp(a.rank, b.rank) <= 0
     return emb(a.germ, b.germ)
 
 

@@ -11,6 +11,10 @@ groups converge to that node. Marks:
   "point"  an ordinary sampled point (isolated iff it has no children)
   "deep"   unexpanded countable structure beyond the depth budget
   "dust"   a Cantor-set sample point (never isolated)
+
+A sample tree grows exponentially with the depth, so one truncation holds at
+most MAX_SAMPLE_NODES nodes; a larger one is a ValidationError naming the
+maximum, raised by `sample_nodes` before any node is built.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ordinals import Cnf, fundamental
-from .terms import Cantor, Color, Mix, NotCountable, Ord, Pt, Sum, Term
+from .terms import Cantor, Color, Mix, NotCountable, Ord, Pt, Sum, Term, ValidationError
+
+MAX_SAMPLE_NODES = 250_000
 
 
 @dataclass
@@ -44,7 +50,86 @@ class Truncation:
 
 
 def truncate(t: Term, depth: int) -> Truncation:
+    sample_nodes(t, depth)
     return Truncation(depth, _forest(t, depth, {}))
+
+
+def sample_nodes(t: Term, depth: int) -> int:
+    """The number of nodes truncate(t, depth) builds, counted without
+    building them. Past MAX_SAMPLE_NODES, a ValidationError naming the
+    maximum. The count grows with the depth, so a term within the budget at
+    one depth is within it at every smaller one."""
+    try:
+        return _count(t, depth, {})
+    except _OverBudget:
+        raise ValidationError(
+            f"the depth-{depth} sample tree exceeds the maximum of "
+            f"{MAX_SAMPLE_NODES} nodes"
+        ) from None
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _within(n: int) -> int:
+    if n > MAX_SAMPLE_NODES:
+        raise _OverBudget
+    return n
+
+
+def _count(t: Term, d: int, memo: dict) -> int:
+    """Nodes of `_forest(t, d)`; raises _OverBudget at the first partial sum
+    past the budget, so the work stays within the budget too."""
+    key = (t, d)
+    n = memo.get(key)
+    if n is not None:
+        return n
+    if isinstance(t, Pt):
+        n = 1
+    elif isinstance(t, Ord):
+        n = _within(t.degree * _count_ord(t.rank, d, memo))
+    elif isinstance(t, Mix):
+        n = _within(1 + d * _count_all(_distinct(t.components), d - 1, memo)) if d > 0 else 1
+    elif isinstance(t, Cantor):
+        comps = _distinct(t.components)
+        n = 1  # `_cantor_node` at depth 0, then one depth more per round
+        for below in range(d):
+            n = _within(1 + 2 * n + _count_all(comps, below, memo))
+    else:
+        n = _count_all(t.parts, d, memo)
+    memo[key] = n
+    return n
+
+
+def _count_all(terms, d: int, memo: dict) -> int:
+    n = 0
+    for c in terms:
+        n = _within(n + _count(c, d, memo))
+    return n
+
+
+def _count_ord(rank: Cnf, budget: int, memo: dict) -> int:
+    """Nodes of `_ord_node(rank, budget)`. The `budget` groups of a successor
+    rank are alike, so its chain of predecessors is a loop whose product of
+    widths stops it within the budget."""
+    widths, least = [], 1
+    while budget > 0 and rank.is_successor():
+        least = _within(least * budget)
+        widths.append(budget)
+        rank, budget = rank.pred(), budget - 1
+    n = 1
+    if budget > 0 and not rank.is_zero():  # a limit rank
+        key = (rank, budget)
+        n = memo.get(key)
+        if n is None:
+            n = 1
+            for k in range(1, budget + 1):
+                n = _within(n + _count_ord(fundamental(rank, k), budget - 1, memo))
+            memo[key] = n
+    for width in reversed(widths):
+        n = _within(1 + width * n)
+    return n
 
 
 def _forest(t: Term, d: int, memo: dict) -> list:
@@ -252,6 +337,8 @@ def equiv_invariants(a: Term, b: Term, depth: int):
     deficit on a side that carries unexpanded deep markers is skipped too
     (the missing points may sit below the depth budget).
     """
+    for side in (a, b):  # before any work, not at the first depth past it
+        sample_nodes(side, depth)
     iso_a = iso_b = None
     for d in range(depth + 1):
         ba, iso_a = _bundle(a, d, iso_a)

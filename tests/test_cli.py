@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from catalog import NON_ASCII_DIGITS
-from endscope import cli, germs, stability
+from endscope import cli, germs, oracle, stability
 from endscope.cli import _load, run
 from endscope.examples_builtin import EXAMPLES
 from endscope.parser import parse
@@ -219,6 +219,18 @@ def test_oracle_rejects_negative_depth(capsys):
     assert out == "" and err.count("\n") == 1
     assert run(["oracle", "--compare", "pt", "pt", "--depth", "0"]) == 0
     assert capsys.readouterr().out == "same up to depth 0\n"
+
+
+def test_oracle_sample_trees_have_a_maximum(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("a sample tree was built before the budget was checked")
+
+    monkeypatch.setattr(oracle, "_forest", build)  # refused before any depth runs
+    nest = "mix(mix(mix(pt,cantor();g),pt;g),ord(w);g)"
+    assert run(["oracle", "--compare", nest, nest, "--depth", "12"]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"maximum of {oracle.MAX_SAMPLE_NODES} nodes" in err
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

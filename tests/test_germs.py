@@ -8,9 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catalog import catalog, cnfs, random_term, random_terms
+from endscope import germs
 from endscope.examples_builtin import EXAMPLES
 from endscope.germs import (
     CANTOR,
+    COUNTABLE,
+    GermClass,
     GermTable,
     Kind,
     Member,
@@ -23,10 +26,12 @@ from endscope.germs import (
     _collected_rows,
     _pair_leq,
     _row_leq,
+    canon,
     cap,
     cantor_type,
     derive_table,
     dominates,
+    emb,
     from_json,
     isolated_in_Eg,
     maximal_classes,
@@ -34,10 +39,10 @@ from endscope.germs import (
     to_json,
 )
 from endscope.normalize import normalize_structural
-from endscope.ordinals import OMEGA, ONE, ZERO, add, cmp, print_cnf
+from endscope.ordinals import OMEGA, ONE, ZERO, Cnf, add, cmp, print_cnf
 from endscope.parser import parse_term
 from endscope.stability import Decomposition, Stable, stable_nbhd
-from endscope.terms import Cantor, Color, Mix, Ord, require_valid
+from endscope.terms import Cantor, Color, Mix, Ord, Pt, Sum, ValidationError, require_valid
 from endscope.verdict import TelescopingResult, telescoping
 
 USER = "user-supplied"
@@ -504,3 +509,126 @@ def test_a_derived_class_accumulates_exactly_when_its_kind_is_not_finite(term):
     table = derive_table(term)
     sources = {z for z, _ in table.acc}
     assert sources == {r.id for r in table.classes if not r.kind.is_finite}
+
+
+# ---------------------------------------------------------------------------
+# the embedding memo and the rank comparison, against the recursion they replace
+
+
+def _ref_cap(t):
+    """`cap` as it was when `emb` recursed without a memo."""
+    if isinstance(t, Pt):
+        return ZERO if t.color is Color.PLANAR else None
+    if isinstance(t, Ord):
+        return t.rank
+    kids = t.parts if isinstance(t, Sum) else t.components
+    best = None
+    for k in kids:
+        c = _ref_cap(k)
+        if c is not None and (best is None or cmp(best, c) < 0):
+            best = c
+    return best
+
+
+def _ref_emb(s, t) -> bool:
+    """`emb` as it was before it was memoized."""
+    t = canon(t)
+    if s == t:
+        return True
+    if isinstance(s, Ord):
+        c = _ref_cap(t)
+        return c is not None and cmp(s.rank, c) <= 0
+    if _ref_cantor_sub(s, t):
+        return True
+    if isinstance(t, Sum):
+        return any(_ref_emb(s, p) for p in t.parts)
+    if isinstance(t, (Mix, Cantor)):
+        return any(_ref_emb(s, c) for c in t.components)
+    return False
+
+
+def _ref_cantor_sub(s, t) -> bool:
+    if not (isinstance(s, Cantor) and isinstance(t, Cantor)):
+        return False
+    if s.color is not t.color:
+        return False
+    return all(any(_ref_emb(c, comp) for comp in t.components) for c in s.components)
+
+
+@settings(max_examples=150)
+@given(random_terms, random_terms)
+def test_memoized_emb_matches_the_recursion(t1, t2):
+    found = [r.germ for t in (t1, t2) for r in derive_table(t).classes if r.germ is not None]
+    pairs = [(s, t) for s in found for t in found]
+    expected = [_ref_emb(s, t) for s, t in pairs]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(germs, "_emb_cache", {})
+        assert [emb(s, t) for s, t in pairs] == expected  # cold
+        assert [emb(s, t) for s, t in pairs] == expected  # warm
+    assert [emb(s, t) for s, t in pairs] == expected  # the process-wide memo
+
+
+def _rank_rows(b: Cnf, label: str) -> list:
+    """Rank b as a derived rank row, as a `Member`, and as a row whose id is
+    `label`, so that equal ranks meet under different ids too."""
+    row = GermClass(f"rank({print_cnf(b)})", COUNTABLE, Color.PLANAR, Ord(b, 1), rank=b)
+    return [row, Member(b), replace(row, id=label)]
+
+
+@settings(max_examples=200)
+@given(cnfs, cnfs, cnfs)
+def test_rank_rows_compare_as_their_germs_embed(a, b, bound):
+    for x, y in ((a, b), (b, a), (a, a)):
+        expected = _ref_emb(Ord(x, 1), Ord(y, 1))
+        for rx in _rank_rows(x, "x"):
+            for ry in _rank_rows(y, "y"):
+                assert _row_leq(rx, ry, bound) == expected, (rx, ry)
+
+
+def test_one_derivation_decides_each_embedding_once(monkeypatch):
+    calls = []
+    inner = germs._emb
+
+    def counting(s, t):
+        calls.append((s, t))
+        return inner(s, t)
+
+    monkeypatch.setattr(germs, "_emb", counting)
+    monkeypatch.setattr(germs, "_emb_cache", {})
+    monkeypatch.setattr(germs, "_derive_cache", {})
+    term = parse_term("mix(mix(mix(mix(cantor(pt),pt;g),ord(w);g),cantor^g(pt^g);g),pt;g)")
+    derive_table(term)
+    assert calls and len(calls) == len(set(calls))
+
+
+# ---------------------------------------------------------------------------
+# derive_table reads its cache before validating
+
+
+def test_invalid_terms_raise_on_every_call_and_are_never_cached():
+    bad = Mix((Pt(Color.GENUS),), Color.PLANAR)
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            derive_table(bad)
+    assert bad not in germs._derive_cache
+
+
+def test_a_cached_table_is_returned_without_validating(monkeypatch):
+    term = parse_term("sum(mix(ord(w),pt;g),sum(pt,cantor(pt)))")
+    table = derive_table(term)
+    calls = []
+    for name in ("require_valid", "normalize_structural"):
+        monkeypatch.setattr(germs, name, lambda t, name=name: calls.append(name))
+    assert derive_table(term) is table
+    assert calls == []
+
+
+@pytest.mark.parametrize("normal_first", [False, True])
+def test_a_term_and_its_normal_form_share_one_table(monkeypatch, normal_first):
+    monkeypatch.setattr(germs, "_derive_cache", {})
+    term = parse_term("sum(sum(pt,pt),mix(ord(w),ord(w);g),pt)")
+    normal = normalize_structural(term)
+    assert normal != term
+    if normal_first:
+        derive_table(normal)
+    assert derive_table(term) is derive_table(normal)

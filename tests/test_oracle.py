@@ -3,19 +3,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalog import countable_catalog, random_terms
+from endscope import oracle
 from endscope.oracle import (
     _colors_mismatch,
     _derivative_mismatch,
+    _flatten,
     _hidden,
     _isolated_mismatch,
     bundle,
     cb_bruteforce,
     equiv_invariants,
+    sample_nodes,
     tr_embeds,
     truncate,
 )
 from endscope.parser import parse_term
-from endscope.terms import Cantor, Color, Mix, NotCountable, Ord, Pt, Sum, cb_rank
+from endscope.terms import (
+    Cantor,
+    Color,
+    Mix,
+    NotCountable,
+    Ord,
+    Pt,
+    Sum,
+    ValidationError,
+    cb_rank,
+)
 
 
 def test_cb_bruteforce_golden_sequences():
@@ -232,3 +245,29 @@ def test_hidden_facts_match_a_fresh_computation(terms):
     memo = {}  # shared, as within one truncation
     for t in terms + terms:
         assert _hidden(t, memo) == (_ref_colors(t), _ref_iso(t), _ref_dust(t))
+
+
+# ---------------------------------------------------------------------------
+# the sample-tree budget
+
+
+_LIMITS = ["ord(w^(w)*2)", "cantor^g(ord(w*2+1),pt^g)", "mix(mix(pt,cantor();g),ord(w^(2));g)"]
+
+
+@settings(max_examples=100)
+@given(st.one_of(random_terms, st.sampled_from(_LIMITS).map(parse_term)), st.integers(0, 5))
+def test_sample_nodes_counts_the_truncation(t, depth):
+    assert sample_nodes(t, depth) == len(_flatten(truncate(t, depth).roots))
+
+
+def test_a_truncation_past_the_budget_is_refused(monkeypatch):
+    t = parse_term("mix(mix(pt,cantor();g),ord(w);g)")
+    n = sample_nodes(t, 5)
+    monkeypatch.setattr(oracle, "MAX_SAMPLE_NODES", n)
+    assert len(_flatten(truncate(t, 5).roots)) == n
+    assert equiv_invariants(t, t, 5) == "same"
+    monkeypatch.setattr(oracle, "MAX_SAMPLE_NODES", n - 1)
+    for call in (lambda: truncate(t, 5), lambda: equiv_invariants(t, t, 5),
+                 lambda: tr_embeds(t, t, 5), lambda: bundle(t, 5)):
+        with pytest.raises(ValidationError, match=f"maximum of {n - 1} nodes"):
+            call()
