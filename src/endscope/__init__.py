@@ -8,65 +8,4 @@ machine-checkable certificates. A companion module verifies the commutator
 constructions and the Steinhaus exponent arithmetic at truncation depth.
 """
 
-from .ordinals import Cnf, OrdinalError
-from .parser import LexError, ParseError, parse, parse_term
-from .terms import (
-    Cantor,
-    Color,
-    GenusMismatch,
-    Mix,
-    NotAllPlanar,
-    NotCountable,
-    Ord,
-    Pt,
-    Sum,
-    SurfaceDescriptor,
-    ValidationError,
-    cb_rank,
-    pretty,
-    pretty_surface,
-    surface_check,
-)
-from .normalize import normalize, normalize_structural
-from .germs import (
-    GermClass,
-    GermTable,
-    NotGenusColored,
-    NotSuccessor,
-    Successor,
-    UnknownClass,
-    cantor_type,
-    derive_table,
-    dominates,
-    from_json,
-    isolated_in_Eg,
-    maximal_classes,
-    predecessors,
-    to_json,
-)
-from .stability import (
-    Brick,
-    Decomposition,
-    Stable,
-    Unknown,
-    Unstable,
-    annuli,
-    check_annuli,
-    check_decomposition,
-    check_shift,
-    decompose,
-    partition_stable,
-    shift,
-    stable_nbhd,
-)
-from .verdict import (
-    REQUIRED_CONSTANTS,
-    TelescopingResult,
-    Verdict,
-    constants,
-    stone_verdict,
-    surface_verdict,
-    telescoping,
-)
-
 __version__ = "0.1.0"

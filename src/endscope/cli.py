@@ -11,12 +11,12 @@ reports are byte-identical across runs on identical input; the environment
 variable ENDSCOPE_DEPTH overrides the default checker depth of 20.
 
 Sizes that come from outside have fixed maxima, since the work grows with
-them without bound: ENDSCOPE_DEPTH at most 256, swindle --depth at most 4096
-and swindle --letters at most 64. A larger value, a value below 1, or a
-negative oracle --depth exits 64 with one line. Terms and ordinal exponents
-in an input nest at most parser.MAX_NESTING (200) levels deep, and one oracle
-sample tree holds at most oracle.MAX_SAMPLE_NODES (250,000) nodes; deeper or
-larger input exits 65 with one line.
+them without bound: ENDSCOPE_DEPTH at most 256, swindle --depth at most 4096,
+swindle --letters at most 64 and oracle --depth at most 256. A larger value,
+a value below 1, or a negative oracle --depth exits 64 with one line. Terms
+and ordinal exponents in an input nest at most parser.MAX_NESTING (200)
+levels deep, and one oracle sample tree holds at most oracle.MAX_SAMPLE_NODES
+(250,000) nodes; deeper or larger input exits 65 with one line.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ EXIT_INTERNAL = 70
 MAX_CHECK_DEPTH = 256
 MAX_SWINDLE_DEPTH = 4096
 MAX_SWINDLE_LETTERS = 64
+MAX_ORACLE_DEPTH = 256
 
 
 class _CliError(Exception):
@@ -385,6 +386,8 @@ def _cmd_constants(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.depth < 0:
         raise _CliError("--depth must not be negative", EXIT_USAGE)
+    if args.depth > MAX_ORACLE_DEPTH:
+        raise _CliError(f"--depth exceeds the maximum {MAX_ORACLE_DEPTH}", EXIT_USAGE)
     a_text, b_text = args.compare
     a = _load(_read(a_text) if a_text == "-" or os.path.exists(a_text) else a_text)
     b = _load(_read(b_text) if b_text == "-" or os.path.exists(b_text) else b_text)

@@ -135,6 +135,20 @@ class GermTable:
                 up[pos[y]] |= 1 << pos[x]
         return tuple(up)
 
+    @cached_property
+    def acc_into(self) -> tuple:
+        """Per row, a bitmask over row indices of the classes that accumulate
+        onto it in `acc`. Built on first use, like `strict_up`."""
+        pos = self.position
+        into = [0] * len(self.classes)
+        for z, x in self.acc:
+            into[pos[x]] |= 1 << pos[z]
+        return tuple(into)
+
+    def rows_in(self, mask: int) -> list:
+        """The rows whose indices are set in `mask`, in table order."""
+        return [c for i, c in enumerate(self.classes) if mask >> i & 1]
+
     def row(self, cid: str) -> GermClass:
         try:
             return self.classes[self.position[cid]]
@@ -387,10 +401,8 @@ def _derive(t: Term) -> GermTable:
     pairs = {(a.id, b.id) for a in rows for b in rows if _row_leq(a, b, bound)}
     rows = _merge_mutual(rows, pairs)
     kept = {r.id for r in rows}
-    accs = _close(_acc_pairs(rows, bound))
-    # closing once: the closure of closure(L) | A is the closure of L | A
-    leq = _close({(y, x) for y, x in pairs if y in kept and x in kept} | accs)
-    return GermTable(tuple(sorted(rows, key=lambda r: r.id)), frozenset(leq), frozenset(accs))
+    leq = {(y, x) for y, x in pairs if y in kept and x in kept}
+    return _table(rows, leq, _acc_pairs(rows, bound))
 
 
 def _collected_rows(t: Term) -> tuple:
@@ -520,6 +532,16 @@ def _equivalent_row(rows, g: Term):
     return None
 
 
+def _table(rows, leq, acc, **kw) -> GermTable:
+    """The table of `rows` with `acc` closed and `leq` the closure of
+    `leq | acc` and the identity: accumulation onto x makes the accumulating
+    class embed into every neighborhood of x. `kw` goes to `GermTable`."""
+    acc = _close(acc)
+    leq = _close(set(leq) | acc | {(r.id, r.id) for r in rows})
+    rows = tuple(sorted(rows, key=lambda r: r.id))
+    return GermTable(rows, frozenset(leq), frozenset(acc), **kw)
+
+
 def _close(pairs: set) -> set:
     """Transitive closure, by Warshall's algorithm over successor sets."""
     succ = {}
@@ -621,17 +643,14 @@ def isolated_in_Eg(table: GermTable, x: str) -> bool:
     r = _resolve(table, x)
     if r.color is not Color.GENUS:
         raise NotGenusColored(x)
-    for (z, tgt) in table.acc:
-        if tgt == r.id and table.row(z).color is Color.GENUS:
-            return False
-    return True
+    into = table.acc_into[table.position[r.id]]
+    return all(z.color is not Color.GENUS for z in table.rows_in(into))
 
 
 def family_accumulates(table: GermTable, cid: str) -> bool:
     """Whether a family row other than class cid accumulates onto it."""
-    return any(
-        z.family and z.id != cid and (z.id, cid) in table.acc for z in table.classes
-    )
+    into = table.acc_into[table.position[cid]]
+    return any(z.family and z.id != cid for z in table.rows_in(into))
 
 
 def predecessors(table: GermTable, x: str):
@@ -728,17 +747,15 @@ def from_json(doc: dict) -> GermTable:
     if not doc["classes"]:
         raise ValidationError("germ table needs at least one class")
     leq, accs = _pairs(doc, "leq"), _pairs(doc, "acc")
-    rows = []
-    ids = set()
+    rows = {}  # id -> row, in document order
     for entry in doc["classes"]:
         if not isinstance(entry, dict):
             raise ValidationError(f"class entries must be objects, not {type(entry).__name__}")
         cid = entry.get("id")
         kind = entry.get("kind", "")
         color = entry.get("color")
-        if not isinstance(cid, str) or cid in ids:
+        if not isinstance(cid, str) or cid in rows:
             raise ValidationError(f"bad or duplicate class id {cid!r}")
-        ids.add(cid)
         # [0-9], not \d: int() reads other scripts' digits, and the kind
         # would not print back as it was read
         m = isinstance(kind, str) and re.fullmatch(r"finite\(([1-9][0-9]*)\)", kind)
@@ -750,44 +767,34 @@ def from_json(doc: dict) -> GermTable:
             raise ValidationError(f"bad kind {kind!r} for class {cid}")
         if not isinstance(color, str) or color not in _COLORS:
             raise ValidationError(f"bad color {color!r} for class {cid}")
-        rows.append(
-            GermClass(
-                cid,
-                kind,
-                _COLORS[color],
-                family=bool(entry.get("family")),
-                family_bound=_family_bound(entry.get("family_bound"), cid),
-            )
+        rows[cid] = GermClass(
+            cid,
+            kind,
+            _COLORS[color],
+            family=bool(entry.get("family")),
+            family_bound=_family_bound(entry.get("family_bound"), cid),
         )
-    for pair in leq | accs:
+    for pair in leq + accs:
         for cid in pair:
-            if cid not in ids:
+            if cid not in rows:
                 raise ValidationError(f"relation mentions unknown class {cid!r}")
-    leq |= {(cid, cid) for cid in ids}
-    leq = _close(leq | accs)
-    accs = _close(accs)
-    by_id = {r.id: r for r in rows}
+    # a genus-to-planar pair of the closure has a genus-to-planar step here
     for (z, x) in accs:
-        if by_id[z].color is Color.GENUS and by_id[x].color is not Color.GENUS:
-            raise ValidationError(
-                f"genus class {z} accumulates onto planar class {x}"
-            )
-    return GermTable(
-        tuple(sorted(rows, key=lambda r: r.id)),
-        frozenset(leq),
-        frozenset(accs),
-        origin=doc.get("origin", "user-supplied"),
-        surface=bool(doc.get("surface")),
-    )
+        if rows[z].color is Color.GENUS and rows[x].color is not Color.GENUS:
+            raise ValidationError(f"genus class {z} accumulates onto planar class {x}")
+    origin = doc.get("origin", "user-supplied")
+    return _table(rows.values(), leq, accs, origin=origin, surface=bool(doc.get("surface")))
 
 
-def _pairs(doc: dict, key: str) -> set:
+def _pairs(doc: dict, key: str) -> list:
+    """The pairs under `key`, in document order, so that the first faulty
+    pair named in an error does not depend on set iteration order."""
     pairs = doc.get(key, [])
     if isinstance(pairs, list) and all(
         isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)
         for p in pairs
     ):
-        return {(y, x) for y, x in pairs}
+        return [(y, x) for y, x in pairs]
     raise ValidationError(f"'{key}' must be a list of [class id, class id] pairs")
 
 

@@ -83,10 +83,6 @@ class Verdict:
     stability: tuple = field(default=None, compare=False, repr=False)
 
 
-def _accumulated(table: GermTable, cid: str) -> bool:
-    return any(x == cid for (_, x) in table.acc)
-
-
 def telescoping(table: GermTable, x: str, surface_context: bool = True) -> TelescopingResult:
     row = _resolve(table, x)
     if isinstance(row, Member):
@@ -100,7 +96,7 @@ def telescoping(table: GermTable, x: str, surface_context: bool = True) -> Teles
         if cmp(row.family_bound, ONE) > 0:
             return TelescopingResult(x, "not_telescoping", failure="F2")
         return TelescopingResult(x, "telescoping", case="i")
-    if row.color is Color.PLANAR and not _accumulated(table, row.id):
+    if row.color is Color.PLANAR and not table.acc_into[table.position[row.id]]:
         return TelescopingResult(x, "telescoping", case="i")
     preds = predecessors(table, x)
     if isinstance(preds, Successor) and all(
@@ -138,14 +134,8 @@ def _failure(table: GermTable, row, x: str) -> str:
 # verdicts
 
 
-def _classify_all(table: GermTable, surface_context: bool) -> tuple:
-    return tuple(
-        telescoping(table, r.id, surface_context) for r in table.classes
-    )
-
-
-def _pick_witness(per_class) -> str:
-    failures = [p.failure for p in per_class if p.status == "not_telescoping"]
+def _witness(failures) -> str:
+    """The witness construction of the first of F1, F2, F3 in `failures`."""
     for f in ("F1", "F2", "F3"):
         if f in failures:
             return WITNESSES[f]
@@ -155,27 +145,44 @@ def _pick_witness(per_class) -> str:
 def surface_verdict(s) -> Verdict:
     if isinstance(s, SurfaceDescriptor):
         surface_check(s.genus, s.ends)
-        table = derive_table(s.ends)
-    elif isinstance(s, GermTable):
+        return _verdict(derive_table(s.ends), surface=True)
+    if isinstance(s, GermTable):
         if not s.surface:
             raise ValidationError("germ table is not marked as a surface input")
-        table = s
-    else:
-        raise ValidationError(f"not a surface input: {s!r}")
+        return _verdict(s, surface=True)
+    raise ValidationError(f"not a surface input: {s!r}")
 
+
+def stone_verdict(t) -> Verdict:
+    if isinstance(t, SurfaceDescriptor):
+        raise ValidationError("stone verdicts take a term or germ table")
+    table = t if isinstance(t, GermTable) else derive_table(t)
+    return _verdict(table, surface=False)
+
+
+def _verdict(table: GermTable, surface: bool) -> Verdict:
+    """The verdict from one `stable_nbhd` and one `telescoping` per class.
+    With every class stable a surface verdict follows the telescoping
+    criterion and a Stone verdict holds; otherwise a surface verdict can
+    still fail by the sufficiency conditions."""
     stability = tuple(stable_nbhd(table, r.id) for r in table.classes)
-    per_class = _classify_all(table, surface_context=True)
+    per_class = tuple(telescoping(table, r.id, surface) for r in table.classes)
     facts = dict(table=table, stability=stability)
     if all(isinstance(v, Stable) for v in stability):
-        if all(p.status == "telescoping" for p in per_class):
-            return Verdict("holds", "telescoping-criterion", per_class, **facts)
-        return Verdict(
-            "fails", "telescoping-criterion", per_class, _pick_witness(per_class), **facts
-        )
-    return _sufficiency_verdict(table, per_class, facts)
+        if not surface:
+            return Verdict("holds", "stable-stone", per_class, **facts)
+        witness = _witness([p.failure for p in per_class])
+        ac = "holds" if witness is None else "fails"
+        return Verdict(ac, "telescoping-criterion", per_class, witness, **facts)
+    witness = _sufficiency_witness(table) if surface else None
+    if witness is not None:
+        return Verdict("fails", "sufficiency", per_class, witness, **facts)
+    return Verdict("unknown", "open-question", per_class, **facts)
 
 
-def _sufficiency_verdict(table: GermTable, per_class, facts: dict) -> Verdict:
+def _sufficiency_witness(table: GermTable) -> str:
+    """The witness of the first sufficiency failure F1, F2, F3 that some
+    class shows, or None."""
     hits = []
     for r in table.classes:
         if r.kind == CANTOR:
@@ -191,22 +198,7 @@ def _sufficiency_verdict(table: GermTable, per_class, facts: dict) -> Verdict:
             continue
         if family_accumulates(table, r.id):
             hits.append("F3")
-    for f in ("F1", "F2", "F3"):
-        if f in hits:
-            return Verdict("fails", "sufficiency", per_class, WITNESSES[f], **facts)
-    return Verdict("unknown", "open-question", per_class, **facts)
-
-
-def stone_verdict(t) -> Verdict:
-    if isinstance(t, SurfaceDescriptor):
-        raise ValidationError("stone verdicts take a term or germ table")
-    table = derive_table(t) if not isinstance(t, GermTable) else t
-    per_class = _classify_all(table, surface_context=False)
-    stability = tuple(stable_nbhd(table, r.id) for r in table.classes)
-    facts = dict(table=table, stability=stability)
-    if all(isinstance(v, Stable) for v in stability):
-        return Verdict("holds", "stable-stone", per_class, **facts)
-    return Verdict("unknown", "open-question", per_class, **facts)
+    return _witness(hits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -221,6 +223,15 @@ def test_oracle_rejects_negative_depth(capsys):
     assert capsys.readouterr().out == "same up to depth 0\n"
 
 
+def test_oracle_depth_has_a_maximum(capsys):
+    assert run(["oracle", "--compare", "pt", "pt", "--depth", str(cli.MAX_ORACLE_DEPTH)]) == 0
+    capsys.readouterr()
+    for depth in (cli.MAX_ORACLE_DEPTH + 1, 100000):
+        assert run(["oracle", "--compare", "pt", "pt", "--depth", str(depth)]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and str(cli.MAX_ORACLE_DEPTH) in err
+
+
 def test_oracle_sample_trees_have_a_maximum(capsys, monkeypatch):
     def build(*args):
         raise AssertionError("a sample tree was built before the budget was checked")
@@ -410,3 +421,59 @@ def test_verdict_analyses_each_class_once(tmp_path, capsys, monkeypatch, name):
         assert derived.count(obj.ends) == 1
     else:
         assert derived == []
+
+
+# ---------------------------------------------------------------------------
+# the package imports only the module asked for, and messages do not depend
+# on the hash seed
+
+
+def _python(args, seed="0", **kw):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kw)
+
+
+@pytest.mark.parametrize("module", ["swindle", "ordinals"])
+def test_a_leaf_module_loads_no_other_endscope_module(module):
+    code = (f"import sys, endscope.{module}; "
+            "print(sorted(m for m in sys.modules if m.startswith('endscope')))")
+    proc = _python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["endscope", f"endscope.{module}"])
+
+
+def _classes(**colors):
+    return [{"id": cid, "kind": "cantor", "color": color} for cid, color in colors.items()]
+
+
+_TWO_FAULTS = {
+    "verdict": {
+        "classes": _classes(a="genus", b="planar", c="genus", d="planar"),
+        "acc": [["a", "b"], ["c", "d"]],
+        "surface": True,
+    },
+    "classify": {
+        "classes": _classes(a="planar"),
+        "leq": [["x", "a"], ["y", "a"], ["z", "a"]],
+    },
+}
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("verdict", "genus class a accumulates onto planar class b"),
+    ("classify", "relation mentions unknown class 'x'"),
+])
+def test_a_malformed_table_names_its_first_fault_under_every_hash_seed(
+    tmp_path, command, expected
+):
+    f = tmp_path / "table.json"
+    f.write_text(json.dumps(_TWO_FAULTS[command]))
+    errs = set()
+    for seed in range(1, 9):
+        proc = _python(["-m", "endscope", command, str(f)], seed=str(seed))
+        assert proc.returncode == 65 and proc.stdout == ""
+        errs.add(proc.stderr)
+    assert len(errs) == 1
+    (err,) = errs
+    assert err.count("\n") == 1 and expected in err

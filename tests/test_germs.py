@@ -26,12 +26,14 @@ from endscope.germs import (
     _collected_rows,
     _pair_leq,
     _row_leq,
+    _table,
     canon,
     cap,
     cantor_type,
     derive_table,
     dominates,
     emb,
+    family_accumulates,
     from_json,
     isolated_in_Eg,
     maximal_classes,
@@ -479,10 +481,8 @@ def _two_pass_derive(term) -> GermTable:
         if keep.kind != CANTOR and r.kind == CANTOR:
             keep, r = r, keep
         merged[target] = replace(keep, kind=keep.kind + r.kind)
-    leq = _close({(a.id, b.id) for a in merged for b in merged if _row_leq(a, b, bound)})
-    accs = _close(_acc_pairs(merged, bound))
-    return GermTable(tuple(sorted(merged, key=lambda r: r.id)),
-                     frozenset(_close(leq | accs)), frozenset(accs))
+    leq = {(a.id, b.id) for a in merged for b in merged if _row_leq(a, b, bound)}
+    return _table(merged, leq, _acc_pairs(merged, bound))
 
 
 # terms whose collected rows merge, which few random terms of budget 5 do
@@ -632,3 +632,91 @@ def test_a_term_and_its_normal_form_share_one_table(monkeypatch, normal_first):
     if normal_first:
         derive_table(normal)
     assert derive_table(term) is derive_table(normal)
+
+
+# ---------------------------------------------------------------------------
+# the accumulation index and the one table builder, against scans of the pairs
+
+
+def _ref_acc_into(table) -> list:
+    return [{z for z, x in table.acc if x == r.id} for r in table.classes]
+
+
+def _ref_isolated_in_Eg(table, cid) -> bool:
+    return not any(x == cid and table.row(z).color is Color.GENUS for z, x in table.acc)
+
+
+def _ref_family_accumulates(table, cid) -> bool:
+    return any(z.family and z.id != cid and (z.id, cid) in table.acc for z in table.classes)
+
+
+def _ref_case_i(table, r) -> bool:
+    """The case-i test `telescoping` makes on a row that is neither of cantor
+    kind nor a derived family row."""
+    return r.color is Color.PLANAR and not any(x == r.id for _, x in table.acc)
+
+
+def _check_acc_queries(table):
+    assert [{z.id for z in table.rows_in(m)} for m in table.acc_into] == _ref_acc_into(table)
+    for r in table.classes:
+        assert family_accumulates(table, r.id) == _ref_family_accumulates(table, r.id), r.id
+        if r.color is Color.GENUS:
+            assert isolated_in_Eg(table, r.id) == _ref_isolated_in_Eg(table, r.id), r.id
+        if r.kind != CANTOR and not (r.family and r.family_bound is not None):
+            case_i = telescoping(table, r.id).case == "i"
+            assert case_i == _ref_case_i(table, r), r.id
+
+
+_FAMILY_TERMS = [
+    "ord(w^(w))",
+    "mix(ord(w^(w)),pt^g;g)",
+    "sum(cantor^g(ord(1),pt^g),ord(w^(w)))",
+    "cantor(ord(w^(w+1)*2),pt)",
+    "sum(mix(ord(w^(w*2)),cantor^g();g),ord(3))",
+]
+
+
+@st.composite
+def user_docs(draw):
+    """A random user table: classes c0.., leq and acc pairs among them, with
+    no genus class accumulating onto a planar one."""
+    rows = draw(st.lists(_USER_CLASS, min_size=1, max_size=7))
+    ids = st.sampled_from(range(len(rows)))
+    leq = draw(st.lists(st.tuples(ids, ids), max_size=20))
+    acc = draw(st.lists(st.tuples(ids, ids), max_size=12))
+    return {
+        "classes": [
+            {"id": f"c{i}", "kind": kind, "color": color, "family": family}
+            for i, (kind, color, family) in enumerate(rows)
+        ],
+        "leq": [[f"c{y}", f"c{x}"] for y, x in leq],
+        "acc": [
+            [f"c{z}", f"c{x}"] for z, x in acc
+            if rows[z][1] == "planar" or rows[x][1] == "genus"
+        ],
+        "origin": USER,
+    }
+
+
+@settings(max_examples=200)
+@given(st.one_of(random_terms, st.sampled_from(_FAMILY_TERMS).map(parse_term)))
+def test_accumulation_index_matches_pair_scans_on_derived_tables(term):
+    table = derive_table(term)
+    _check_acc_queries(table)
+    _check_acc_queries(from_json(dict(to_json(table), origin=USER)))
+
+
+@settings(max_examples=200)
+@given(user_docs())
+def test_accumulation_index_matches_pair_scans_on_user_tables(doc):
+    _check_acc_queries(from_json(doc))
+
+
+@settings(max_examples=200)
+@given(user_docs())
+def test_json_relations_are_the_closure_of_the_listed_pairs(doc):
+    table = from_json(doc)
+    acc = {tuple(p) for p in doc["acc"]}
+    identity = {(c["id"], c["id"]) for c in doc["classes"]}
+    assert table.acc == _fixpoint_close(acc)
+    assert table.leq == _fixpoint_close({tuple(p) for p in doc["leq"]} | acc | identity)
