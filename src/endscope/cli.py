@@ -46,7 +46,6 @@ from .parser import LexError, ParseError, parse
 from .stability import (
     Brick,
     DEFAULT_DEPTH,
-    NotStable,
     NotTelescoping,
     Stable,
     annuli,
@@ -60,6 +59,7 @@ from .stability import (
 )
 from .swindle import anderson, em_check, slot_word
 from .terms import (
+    GenusMismatch,
     SurfaceDescriptor,
     Term,
     ValidationError,
@@ -315,6 +315,11 @@ def _shift_brick(cert: dict) -> Brick:
 
 def _cmd_certify(args) -> int:
     obj = _load(_read(args.file))
+    if isinstance(obj, SurfaceDescriptor):
+        try:
+            surface_check(obj.genus, obj.ends)
+        except GenusMismatch as e:
+            raise _CliError(str(e), EXIT_INPUT)
     if args.check:
         try:
             cert = json.loads(_read(args.check))
@@ -483,9 +488,8 @@ def run(argv=None) -> int:
         return EXIT_USAGE if code not in (0, EXIT_USAGE) else code
     try:
         return args.func(args)
-    except (_CliError, ValidationError, UnknownClass, NotStable) as e:
-        # the engine's input errors (validation, unknown class ids, ends
-        # without a certificate) are all exit 65
+    except (_CliError, ValidationError, UnknownClass) as e:
+        # the engine's input errors (validation, unknown class ids) are exit 65
         print(f"endscope: {e}", file=sys.stderr)
         return e.code if isinstance(e, _CliError) else EXIT_INPUT
     except BrokenPipeError:

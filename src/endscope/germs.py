@@ -491,7 +491,7 @@ def _acc_pairs(rows, bound) -> set:
             continue
         if isinstance(g, Pt):
             continue
-        for src in _interior_ids(g, rows, bound):
+        for src in _interior_ids(g, by_id, bound):
             if src in by_id:
                 pairs.add((src, x.id))
         if isinstance(g, Cantor):
@@ -499,8 +499,9 @@ def _acc_pairs(rows, bound) -> set:
     return pairs
 
 
-def _interior_ids(g: Term, rows, bound) -> set:
-    """Ids of classes whose points lie arbitrarily close to the basepoint of g."""
+def _interior_ids(g: Term, by_id: dict, bound) -> set:
+    """Ids of classes whose points lie arbitrarily close to the basepoint of g;
+    `by_id` maps each row id to its row, in row order."""
     col = _Collector()
     for c in g.components:
         _collect(c, True, col)
@@ -514,10 +515,10 @@ def _interior_ids(g: Term, rows, bound) -> set:
         out.add(FAMILY_ID)
     for sub in col.germs:
         sid = pretty(sub)
-        if any(r.id == sid for r in rows):
+        if sid in by_id:
             out.add(sid)
         else:  # merged into an equivalent row
-            match = _equivalent_row(rows, sub)
+            match = _equivalent_row(by_id.values(), sub)
             if match is not None:
                 out.add(match.id)
     return out

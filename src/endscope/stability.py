@@ -1,5 +1,5 @@
-"""Stability certificates: decompositions, shrink witnesses, brick shifts,
-stable partitions, and annulus decompositions.
+"""Stability certificates: decompositions, brick shifts and annulus
+decompositions.
 
 A neighborhood U of a point x is stable when U minus x splits into clopen
 pieces Y_1, Y_2, ... descending to x, with each piece embedding into the
@@ -19,10 +19,8 @@ from .germs import (
     canon,
     derive_table,
     family_accumulates,
-    maximal_classes,
     _resolve,
 )
-from .normalize import normalize_structural
 from .ordinals import Cnf, ZERO, cmp, fundamental, print_cnf
 from .terms import (
     Color,
@@ -36,20 +34,7 @@ from .terms import (
     has_genus,
     mk_mix,
     pretty,
-    require_valid,
 )
-
-
-class NotStable(ValueError):
-    pass
-
-
-class BadSubneighborhood(ValueError):
-    pass
-
-
-class NotClopenImage(ValueError):
-    pass
 
 
 class NotTelescoping(ValueError):
@@ -132,13 +117,6 @@ def _rank_decomposition(x: str, b: Cnf) -> Decomposition:
     return Decomposition(x, "rank-blocks", Ord(b, 1), rank=b)
 
 
-def decompose(t: Term, x: str) -> Decomposition:
-    res = stable_nbhd(derive_table(t), x)
-    if not isinstance(res, Stable):
-        raise NotStable(f"{x}: {res}")
-    return res.decomposition
-
-
 def _piece_embeds(a: Term, b: Term) -> bool:
     """Y embedding used between consecutive pieces."""
     if a is None or b is None:
@@ -205,96 +183,6 @@ def _check_reassembly(dec: Decomposition, picks: list) -> list:
         if cmp(r, dec.rank) >= 0:
             out.append("subsequence rank escapes the limit bound")
     return out
-
-
-# ---------------------------------------------------------------------------
-# shrink witnesses (Hilbert-hotel reindexing)
-
-
-@dataclass(frozen=True)
-class ShrinkWitness:
-    basepoint: str
-    removed: tuple  # removed piece indices, ascending
-    moves: tuple  # (source index, target index) pairs over the checked window
-
-
-def build_shrink_witness(t: Term, x: str, removed, depth: int = DEFAULT_DEPTH) -> ShrinkWitness:
-    dec = decompose(t, x)
-    if dec.shape == "degenerate":
-        raise BadSubneighborhood("degenerate neighborhoods have no removable pieces")
-    removed = tuple(sorted(set(removed)))
-    if not removed:
-        return ShrinkWitness(x, (), tuple((k, k) for k in range(1, depth + 1)))
-    if any((not isinstance(r, int)) or r < 1 for r in removed):
-        raise BadSubneighborhood(
-            "sub-neighborhood must keep the basepoint and remove whole pieces"
-        )
-    survivors = [k for k in range(1, depth + len(removed) + 1) if k not in removed]
-    moves = tuple(zip(range(1, depth + 1), survivors[:depth]))
-    witness = ShrinkWitness(x, removed, moves)
-    problems = check_shrink_witness(dec, witness)
-    if problems:
-        raise BadSubneighborhood("; ".join(problems))
-    return witness
-
-
-def check_shrink_witness(dec: Decomposition, w: ShrinkWitness) -> list:
-    problems = []
-    targets = [dst for _, dst in w.moves]
-    if len(set(targets)) != len(targets):
-        problems.append("moved blocks overlap")
-    if any(dst in w.removed for dst in targets):
-        problems.append("block moved onto a removed piece")
-    if any(b <= a for a, b in zip(targets, targets[1:])):
-        problems.append("reindexing is not order preserving")
-    for src, dst in w.moves:
-        if dst < src:
-            problems.append("block moved away from the basepoint")
-        if not _piece_embeds(dec.piece(src), dec.piece(dst)):
-            problems.append(f"piece {src} does not embed into slot {dst}")
-    return problems
-
-
-# ---------------------------------------------------------------------------
-# clopen-embedding extension (puzzle construction)
-
-
-def extend_embedding(n: int, m: int, phi: dict):
-    """Extend an embedding of blocks Y[1..n] into Y[1..m] to a bijection.
-
-    phi maps each source block 1..n to a distinct target block in 1..m.
-    Returns (p, h) with p = 2m and h a permutation of 1..p agreeing with phi.
-    """
-    if not (0 < n < m):
-        raise NotClopenImage("need n < m with n >= 1")
-    if sorted(phi) != list(range(1, n + 1)):
-        raise NotClopenImage("phi must cover exactly the blocks 1..n")
-    targets = [phi[i] for i in range(1, n + 1)]
-    if len(set(targets)) != n or any(not 1 <= t <= m for t in targets):
-        raise NotClopenImage("phi must be injective into the blocks 1..m")
-    p = 2 * m
-    h = dict(phi)
-    free_targets = [j for j in range(1, p + 1) if j not in set(targets)]
-    for i, j in zip(range(n + 1, p + 1), free_targets):
-        h[i] = j
-    problems = check_extension(n, m, phi, p, h)
-    if problems:
-        raise NotClopenImage("; ".join(problems))
-    return p, h
-
-
-def check_extension(n: int, m: int, phi: dict, p: int, h: dict) -> list:
-    problems = []
-    if p != 2 * m:
-        problems.append("block count is not 2m")
-    if sorted(h) != list(range(1, p + 1)) or sorted(h.values()) != list(
-        range(1, p + 1)
-    ):
-        problems.append("h is not a self-bijection of the blocks")
-    for i in range(1, n + 1):
-        if h.get(i) != phi.get(i):
-            problems.append(f"h disagrees with phi on block {i}")
-    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -412,31 +300,6 @@ def check_shift(recipe: ShiftRecipe, depth: int = DEFAULT_DEPTH) -> list:
         if len(set(orbit)) != len(orbit):
             problems.append(f"orbit of {x} revisits an index")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# stable partitions
-
-
-def partition_stable(t: Term) -> list:
-    """Clopen partition into stable neighborhoods: (part term, basepoint id)."""
-    require_valid(t)
-    t = normalize_structural(t)
-    if isinstance(t, Sum):
-        out = []
-        for p in t.parts:
-            out.extend(partition_stable(p))
-        return out
-    if isinstance(t, Ord) and t.degree > 1:
-        single = Ord(t.rank, 1)
-        return [(single, f"rank({print_cnf(t.rank)})") for _ in range(t.degree)]
-    table = derive_table(t)
-    g = canon(t)
-    for r in table.classes:
-        if r.germ == g:
-            return [(t, r.id)]
-    # the basepoint class merged into an equivalent row; use the top class
-    return [(t, sorted(maximal_classes(table))[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -568,17 +431,3 @@ def annuli_certificate(dec: AnnulusDecomposition) -> dict:
         "witnesses": [{"kind": "union-homogeneity"}],
     }
 
-
-def shift_certificate(b: Brick, depth: int = DEFAULT_DEPTH) -> dict:
-    recipe = shift(b)
-    return {
-        "kind": "shift",
-        "basepoint": None,
-        "pieces": [
-            {"prefix": list(b.prefix), "period": list(b.period)}
-        ],
-        "witnesses": [
-            {"kind": "disjoint-rows", "depth": depth},
-            {"kind": "partition", "depth": depth},
-        ],
-    }

@@ -16,8 +16,7 @@ Contents:
   commutator_from_alternating  factor an alternating map as [f1, hmap]
   em_layout                    the interleaved red/blue layout whose two
                                readings h1, h2 both have alternating supports
-  fragment_slots               split a bounded-displacement map into two
-                               pieces supported on disjoint bricks
+  em_check                     replay every check on that layout
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ class BadSplit(ValueError):
 
 
 class NotAlternating(ValueError):
-    pass
-
-
-class UnboundedDisplacement(ValueError):
     pass
 
 
@@ -73,10 +68,6 @@ def word_mul(*words) -> tuple:
 
 def word_inv(w) -> tuple:
     return tuple(-x for x in reversed(w))
-
-
-def word_commutator(a, b) -> tuple:
-    return word_mul(a, b, word_inv(a), word_inv(b))
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +116,6 @@ def sw_mul(a: SlotWord, b: SlotWord) -> SlotWord:
     for s in set(a.support()) | set(b.support()):
         out[s] = word_mul(a.word_at(s), b.word_at(s))
     return slot_word(out)
-
-
-def sw_inv(a: SlotWord) -> SlotWord:
-    return SlotWord(tuple(sorted((s, word_inv(w)) for s, w in a.assignment)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,92 +350,3 @@ def em_check(d: int) -> dict:
         "product_identity": "both" if len(orders) == 2 else "/".join(orders),
     }
 
-
-# ---------------------------------------------------------------------------
-# fragmentation
-
-
-@dataclass(frozen=True)
-class SlotMap:
-    """A slot word together with a permutation part.
-
-    The permutation shifts by `shift`, restricted to the slots whose residue
-    class mod `modulus` lies in `residues` (residues None means the shift
-    applies everywhere). `bounded` declares whether the displacement of the
-    underlying map is finite; descriptors without a finite bound cannot be
-    fragmented.
-    """
-
-    words: SlotWord
-    shift: int = 0
-    residues: frozenset = None
-    modulus: int = 0
-    bounded: bool = True
-
-    def moves(self, s: int) -> bool:
-        if self.shift == 0:
-            return False
-        if self.residues is None:
-            return True
-        return s % self.modulus in self.residues
-
-    def perm(self, s: int) -> int:
-        return s + self.shift if self.moves(s) else s
-
-    def word_at(self, s: int) -> tuple:
-        return self.words.word_at(s)
-
-
-def fragment_slots(f: SlotMap):
-    """Split f into two maps supported on disjoint bricks with g.h = f.
-
-    A map with no permutation part splits along even/odd slots. A constant
-    shift by c with |c| >= 2 splits along residue classes mod |c|: each class
-    is a shift orbit, so half the classes go to one piece and half to the
-    other, and the supports are disjoint arithmetic-progression bricks. A
-    shift by 1 is a single orbit and admits no such split.
-    """
-    if not f.bounded:
-        raise UnboundedDisplacement("no finite displacement bound declared")
-    if f.residues is not None:
-        raise UnboundedDisplacement(
-            "only total shifts are fragmented; this map is already a fragment"
-        )
-    c = f.shift
-    if c == 0:
-        evens = {s: w for s, w in f.words.assignment if s % 2 == 0}
-        odds = {s: w for s, w in f.words.assignment if s % 2 == 1}
-        return (
-            SlotMap(slot_word(evens)),
-            SlotMap(slot_word(odds)),
-        )
-    m = abs(c)
-    if m == 1:
-        raise UnboundedDisplacement(
-            "a shift by 1 is a single slot orbit; no interleaved index "
-            "sequences with the required gaps exist"
-        )
-    first = frozenset(range(m // 2))
-    second = frozenset(range(m // 2, m))
-    g_words = {s: w for s, w in f.words.assignment if s % m in first}
-    h_words = {s: w for s, w in f.words.assignment if s % m in second}
-    g = SlotMap(slot_word(g_words), c, first, m)
-    h = SlotMap(slot_word(h_words), c, second, m)
-    return g, h
-
-
-def check_fragment(f: SlotMap, g: SlotMap, h: SlotMap, window: int = 64) -> bool:
-    """Disjoint supports, and g.h = f on every slot of [-window, window]."""
-    for s in range(-window, window + 1):
-        in_g = g.moves(s) or bool(g.word_at(s))
-        in_h = h.moves(s) or bool(h.word_at(s))
-        if in_g and in_h:
-            return False
-        if g.perm(h.perm(s)) != f.perm(s):
-            return False
-        # wreath composition: g's word there, then h's word pulled back
-        # through g's permutation
-        pull = s - g.shift if g.moves(s) else s
-        if word_mul(g.word_at(s), h.word_at(pull)) != f.word_at(s):
-            return False
-    return True

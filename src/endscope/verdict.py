@@ -44,10 +44,6 @@ from .terms import (
 )
 
 
-class IsTelescoping(ValueError):
-    pass
-
-
 CASE_NOTE = (
     "planar successor ends accept case iii without the genus-isolation clause"
 )
@@ -110,14 +106,6 @@ def telescoping(table: GermTable, x: str, surface_context: bool = True) -> Teles
         if not blocked:
             return TelescopingResult(x, "telescoping", case="iii")
     return TelescopingResult(x, "not_telescoping", failure=_failure(table, row, x))
-
-
-def failure_case(table: GermTable, x: str) -> str:
-    """The failure case of a class that is not telescoping."""
-    result = telescoping(table, x)
-    if result.status == "telescoping":
-        raise IsTelescoping(x)
-    return result.failure
 
 
 def _failure(table: GermTable, row, x: str) -> str:

@@ -111,6 +111,18 @@ def test_certify_unknown_end(tmp_path, capsys):
         assert err == "endscope: 'nope'\n"
 
 
+def test_certify_rejects_a_genus_mismatch(tmp_path, capsys):
+    good = _write(tmp_path, "good.txt", "surface { genus: inf, ends: cantor^g() }")
+    assert run(["certify", good, "--end", "cantor^g()"]) == 0
+    cert = _write(tmp_path, "cert.json", capsys.readouterr().out)
+    bad = _write(tmp_path, "bad.txt", "surface { genus: 0, ends: cantor^g() }")
+    for check in ([], ["--check", cert]):
+        assert run(["certify", bad, "--end", "cantor^g()", *check]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "endscope: finite genus forbids genus-colored ends\n"
+
+
 @pytest.mark.parametrize("command,levels", [("parse", 1000), ("classify", 300)])
 def test_deep_nesting_is_an_input_error(tmp_path, capsys, command, levels):
     term = "pt"

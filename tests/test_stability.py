@@ -11,9 +11,7 @@ from endscope.parser import parse, parse_term
 from endscope.stability import (
     Annulus,
     AnnulusDecomposition,
-    BadSubneighborhood,
     Brick,
-    NotClopenImage,
     NotTelescoping,
     Stable,
     Unknown,
@@ -23,18 +21,11 @@ from endscope.stability import (
     _unpair,
     annuli,
     annuli_certificate,
-    build_shrink_witness,
     check_annuli,
     check_decomposition,
-    check_extension,
     check_shift,
-    check_shrink_witness,
-    decompose,
     decomposition_certificate,
-    extend_embedding,
-    partition_stable,
     shift,
-    shift_certificate,
     stable_nbhd,
 )
 from endscope.terms import pretty
@@ -50,12 +41,16 @@ def test_every_derived_class_is_stable_on_catalog():
             assert problems == [], (pretty(t), c.id, problems)
 
 
+def _decomposition(src: str, x: str):
+    return stable_nbhd(derive_table(parse_term(src)), x).decomposition
+
+
 def test_decomposition_shapes():
-    assert decompose(parse_term("pt"), "rank(0)").shape == "degenerate"
-    assert decompose(parse_term("ord(w)"), "rank(1)").shape == "rank-blocks"
-    assert decompose(parse_term("cantor()"), "cantor()").shape == "shells"
-    ml = parse_term("mix(cantor^g(),cantor();g)")
-    assert decompose(ml, "mix(cantor(),cantor^g();g)").shape == "rounds"
+    assert _decomposition("pt", "rank(0)").shape == "degenerate"
+    assert _decomposition("ord(w)", "rank(1)").shape == "rank-blocks"
+    assert _decomposition("cantor()", "cantor()").shape == "shells"
+    ml = "mix(cantor^g(),cantor();g)"
+    assert _decomposition(ml, "mix(cantor(),cantor^g();g)").shape == "rounds"
 
 
 def test_family_members_are_stable():
@@ -73,51 +68,6 @@ def test_user_supplied_table_verdicts():
     assert isinstance(stable_nbhd(table, "p"), Unknown)
     tf = from_json(json.loads(EXAMPLES["telescopefail-iii"]))
     assert isinstance(stable_nbhd(tf, "x"), Unstable)
-
-
-def test_shrink_witness_round_trip():
-    t = parse_term("ord(w^(2))")
-    dec = decompose(t, "rank(2)")
-    w = build_shrink_witness(t, "rank(2)", removed=(2, 5))
-    assert check_shrink_witness(dec, w) == []
-    assert w.removed == (2, 5)
-    # targets skip the removed slots
-    targets = [dst for _, dst in w.moves]
-    assert 2 not in targets and 5 not in targets
-
-
-def test_shrink_witness_guards():
-    t = parse_term("ord(w)")
-    with pytest.raises(BadSubneighborhood):
-        build_shrink_witness(t, "rank(1)", removed=(0,))
-    with pytest.raises(BadSubneighborhood):
-        build_shrink_witness(parse_term("pt"), "rank(0)", removed=(1,))
-
-
-def test_shrink_witness_detects_tampering():
-    t = parse_term("cantor()")
-    dec = decompose(t, "cantor()")
-    w = build_shrink_witness(t, "cantor()", removed=(1,))
-    bad = type(w)(w.basepoint, w.removed, ((3, 1),) + w.moves[1:])
-    assert check_shrink_witness(dec, bad)
-
-
-def test_extend_embedding():
-    p, h = extend_embedding(2, 4, {1: 3, 2: 1})
-    assert p == 8
-    assert h[1] == 3 and h[2] == 1
-    assert sorted(h) == list(range(1, 9))
-    assert sorted(h.values()) == list(range(1, 9))
-    assert check_extension(2, 4, {1: 3, 2: 1}, p, h) == []
-
-
-def test_extend_embedding_guards():
-    with pytest.raises(NotClopenImage):
-        extend_embedding(3, 3, {1: 1, 2: 2, 3: 3})
-    with pytest.raises(NotClopenImage):
-        extend_embedding(2, 4, {1: 3, 2: 3})
-    with pytest.raises(NotClopenImage):
-        extend_embedding(2, 4, {1: 3, 3: 1})
 
 
 def test_brick_validation():
@@ -140,17 +90,6 @@ def test_shift_coordinates_invert():
         row, col = r.coords(x)
         assert r.index_at(row, col) == x
         assert r.sigma(r.sigma(x, 1), -1) == x
-
-
-def test_partition_stable():
-    parts = partition_stable(parse_term("sum(ord(w*2),cantor())"))
-    assert len(parts) == 3
-    basepoints = [x for _, x in parts]
-    assert basepoints.count("rank(1)") == 2
-    assert "cantor()" in basepoints
-    for part, x in parts:
-        res = stable_nbhd(derive_table(part), x)
-        assert isinstance(res, Stable)
 
 
 def test_annuli_cases():
@@ -190,16 +129,13 @@ def test_check_annuli_detects_missing_content():
 
 
 def test_certificates_are_json_ready():
-    dec = decompose(parse_term("ord(w)"), "rank(1)")
-    c1 = decomposition_certificate(dec, depth=5)
+    c1 = decomposition_certificate(_decomposition("ord(w)", "rank(1)"), depth=5)
     assert c1["kind"] == "decomposition"
     assert len(c1["pieces"]) == 5
     ml = parse(EXAMPLES["mona-lisa"])
     c2 = annuli_certificate(annuli(ml, "mix(cantor(),cantor^g();g)", depth=4))
     assert c2["kind"] == "annuli" and c2["case"] == "iii"
-    c3 = shift_certificate(Brick(), depth=8)
-    assert c3["kind"] == "shift"
-    for cert in (c1, c2, c3):
+    for cert in (c1, c2):
         json.dumps(cert)  # must serialize without custom encoders
 
 

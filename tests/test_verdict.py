@@ -10,9 +10,7 @@ from endscope.verdict import (
     CASE_NOTE,
     EQUIV_NOTE,
     REQUIRED_CONSTANTS,
-    IsTelescoping,
     constants,
-    failure_case,
     stone_verdict,
     surface_verdict,
     telescoping,
@@ -45,21 +43,18 @@ def test_isolated_genus_end_fails_f1():
     t = _table("pt^g")
     res = telescoping(t, "pt^g")
     assert res.status == "not_telescoping" and res.failure == "F1"
-    assert failure_case(t, "pt^g") == "F1"
 
 
 def test_countable_class_below_fails_f2():
     t = _table("ord(w)")
     res = telescoping(t, "rank(1)")
     assert res.status == "not_telescoping" and res.failure == "F2"
-    assert failure_case(t, "rank(1)") == "F2"
 
 
 def test_family_accumulation_fails_f3():
     t = from_json(json.loads(EXAMPLES["telescopefail-iii"]))
     res = telescoping(t, "x")
     assert res.status == "not_telescoping" and res.failure == "F3"
-    assert failure_case(t, "x") == "F3"
 
 
 def test_genus_isolation_clause_only_binds_surfaces():
@@ -71,13 +66,13 @@ def test_genus_isolation_clause_only_binds_surfaces():
 
 
 def test_failure_case_rejects_telescoping_basepoints():
-    with pytest.raises(IsTelescoping):
-        failure_case(_table("cantor()"), "cantor()")
+    res = telescoping(_table("cantor()"), "cantor()")
+    assert res.status == "telescoping" and res.failure is None
     # a genus class of cantor kind is case ii even when isolated among genus
     # ends, which only a user table can say
     lone = from_json({"classes": [{"id": "c", "kind": "cantor", "color": "genus"}]})
-    with pytest.raises(IsTelescoping):
-        failure_case(lone, "c")
+    res = telescoping(lone, "c")
+    assert (res.status, res.case, res.failure) == ("telescoping", "ii", None)
 
 
 def test_surface_verdict_goldens():
