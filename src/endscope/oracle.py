@@ -12,13 +12,20 @@ groups converge to that node. Marks:
   "deep"   unexpanded countable structure beyond the depth budget
   "dust"   a Cantor-set sample point (never isolated)
 
+A sample tree repeats a few subtrees many times, so the invariant bundles
+are folded over the term instead of read off a built tree: the facts of
+each distinct subtree are computed once and multiplied where the tree
+repeats them. `truncate` still builds the tree, for `tr_embeds` and
+`cb_bruteforce`, and the tests hold the fold to it.
+
 A sample tree grows exponentially with the depth, so one truncation holds at
 most MAX_SAMPLE_NODES nodes; a larger one is a ValidationError naming the
-maximum, raised by `sample_nodes` before any node is built.
+maximum, raised by `sample_nodes` before any node is built or folded.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .ordinals import Cnf, fundamental
@@ -280,50 +287,191 @@ def _flatten(roots) -> list:
 # invariant bundles and comparison
 
 
+@dataclass(frozen=True)
+class _Facts:
+    """What a bundle reads off a forest of sample trees: every color shown or
+    hidden, the hidden isolated colors, whether dust occurs (shown or
+    hidden), whether a deep marker occurs, the isolated points per color, and
+    the nodes per Cantor-Bendixson removal round. A leaf point is removed in
+    round 1, a point with children one round after the last of them; deep
+    and dust nodes, and the points above them, in round NEVER."""
+
+    colors: frozenset
+    hidden_iso: frozenset
+    dust: bool
+    deep: bool
+    iso: dict  # Color -> isolated points
+    rounds: dict  # removal round -> nodes
+
+
+NEVER = math.inf
+_NONE = _Facts(frozenset(), frozenset(), False, False, {}, {})
+_NOTHING_HIDDEN = (frozenset(), frozenset(), False)
+
+
+def _times(f: _Facts, k: int) -> _Facts:
+    """The facts of k copies of a forest."""
+    if k == 1:
+        return f
+    return _Facts(
+        f.colors,
+        f.hidden_iso,
+        f.dust,
+        f.deep,
+        {c: k * n for c, n in f.iso.items()},
+        {r: k * n for r, n in f.rounds.items()},
+    )
+
+
+def _join(forests) -> _Facts:
+    """The facts of forests laid side by side."""
+    out = _NONE
+    for f in forests:
+        out = _Facts(
+            out.colors | f.colors,
+            out.hidden_iso | f.hidden_iso,
+            out.dust or f.dust,
+            out.deep or f.deep,
+            _add(out.iso, f.iso),
+            _add(out.rounds, f.rounds),
+        )
+    return out
+
+
+def _add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, n in b.items():
+        out[key] = out.get(key, 0) + n
+    return out
+
+
+def _node(color: Color, mark: str, below: _Facts, hidden=_NOTHING_HIDDEN) -> _Facts:
+    """The facts of one node over the forest of its children; `hidden` is
+    what an unexpanded node records of the structure below the cut."""
+    hidden_colors, hidden_iso, hidden_dust = hidden
+    iso = {}
+    if mark != "point":
+        removed = NEVER
+    elif below.rounds:
+        removed = 1 + max(below.rounds)
+    else:
+        removed, iso = 1, {color: 1}
+    own = _Facts(
+        hidden_colors | {color},
+        hidden_iso,
+        hidden_dust or mark == "dust",
+        mark == "deep",
+        iso,
+        {removed: 1},
+    )
+    return _join((below, own))
+
+
+def _fold(t: Term, d: int, memo: dict) -> _Facts:
+    """The facts of `_forest(t, d)`, without building it. `memo` holds the
+    facts of every distinct (subterm, depth), (rank, budget) and (Cantor
+    components, color, depth) of one `bundle` or `equiv_invariants` call,
+    and `_hidden`'s answers."""
+    key = (t, d)
+    f = memo.get(key)
+    if f is not None:
+        return f
+    if isinstance(t, Pt):
+        f = _node(t.color, "point", _NONE)
+    elif isinstance(t, Ord):
+        f = _times(_fold_ord(t.rank, d, memo), t.degree)
+    elif isinstance(t, Mix):
+        if d > 0:
+            group = _join(_fold(c, d - 1, memo) for c in _distinct(t.components))
+            f = _node(t.limit_color, "point", _times(group, d))
+        else:
+            f = _node(t.limit_color, "deep", _NONE, _hidden(t, memo))
+    elif isinstance(t, Cantor):
+        f = _fold_cantor(tuple(_distinct(t.components)), t.color, d, memo)
+    else:
+        f = _join(_fold(p, d, memo) for p in t.parts)
+    memo[key] = f
+    return f
+
+
+def _fold_ord(rank: Cnf, budget: int, memo: dict) -> _Facts:
+    """The facts of `_ord_node(rank, budget)`."""
+    key = (rank, budget)
+    f = memo.get(key)
+    if f is not None:
+        return f
+    if rank.is_zero():
+        f = _node(Color.PLANAR, "point", _NONE)
+    elif budget <= 0:
+        planar = frozenset((Color.PLANAR,))
+        f = _node(Color.PLANAR, "deep", _NONE, (planar, planar, False))
+    elif rank.is_successor():
+        below = _times(_fold_ord(rank.pred(), budget - 1, memo), budget)
+        f = _node(Color.PLANAR, "point", below)
+    else:
+        below = _join(
+            _fold_ord(fundamental(rank, k), budget - 1, memo) for k in range(1, budget + 1)
+        )
+        f = _node(Color.PLANAR, "point", below)
+    memo[key] = f
+    return f
+
+
+def _fold_cantor(distinct_comps: tuple, color: Color, d: int, memo: dict) -> _Facts:
+    """The facts of `_cantor_node(distinct_comps, color, d)`."""
+    key = (distinct_comps, color, d)
+    f = memo.get(key)
+    if f is not None:
+        return f
+    if d <= 0:
+        hidden = [_hidden(c, memo) for c in distinct_comps]
+        colors = frozenset((color,)).union(*(h[0] for h in hidden))
+        iso = frozenset().union(*(h[1] for h in hidden))
+        f = _node(color, "dust", _NONE, (colors, iso, False))
+    else:
+        dust = _times(_fold_cantor(distinct_comps, color, d - 1, memo), 2)
+        gaps = (_fold(c, d - 1, memo) for c in distinct_comps)
+        f = _node(color, "dust", _join((dust, *gaps)))
+    memo[key] = f
+    return f
+
+
 def bundle(t: Term, depth: int) -> dict:
     """Robust invariants of the depth-`depth` truncation of t."""
-    iso_prev = _bundle(t, depth - 1, None)[1] if depth >= 1 else None
-    return _bundle(t, depth, iso_prev)[0]
+    sample_nodes(t, depth)
+    memo = {}
+    iso_prev = _bundle(_fold(t, depth - 1, memo), None)[1] if depth >= 1 else None
+    return _bundle(_fold(t, depth, memo), iso_prev)[0]
 
 
-def _bundle(t: Term, depth: int, iso_prev):
-    """The bundle of t at `depth` and its isolated-point counts, from one
-    walk over one truncation; `iso_prev` holds the counts at depth - 1, or
-    None at depth 0. The brute-force derivative runs last, since it prunes
-    the tree."""
-    nodes = _flatten(truncate(t, depth).roots)
-    colors, hidden_iso, iso_now = set(), set(), {}
-    perfect_kernel = deep = False
-    for n in nodes:
-        colors.add(n.color)
-        colors |= n.hidden_colors
-        hidden_iso |= n.hidden_iso
-        if n.mark == "dust" or n.hidden_dust:
-            perfect_kernel = True
-        if n.mark == "deep":
-            deep = True
-        elif n.mark == "point" and not any(n.groups):
-            key = str(n.color)
-            iso_now[key] = iso_now.get(key, 0) + 1
+def _bundle(f: _Facts, iso_prev):
+    """The bundle of a truncation with facts `f`, and its isolated-point
+    counts; `iso_prev` holds the counts at the depth below, or None at
+    depth 0."""
+    iso_now = {str(c): n for c, n in f.iso.items()}
     if iso_prev is None:
         iso_prev = iso_now
     out = {
-        "colors": sorted(str(c) for c in colors),
-        "perfect_kernel": perfect_kernel,
-        "deep": deep,
-        "hidden_isolated": sorted(str(c) for c in hidden_iso),
+        "colors": sorted(str(c) for c in f.colors),
+        "perfect_kernel": f.dust,
+        "deep": f.deep,
+        "hidden_isolated": sorted(str(c) for c in f.hidden_iso),
         "isolated": {
             color: (count if count == iso_prev.get(color, 0) else "growing")
             for color, count in iso_now.items()
         },
         "derivative": None,
     }
-    if not perfect_kernel and out["colors"] in ([], ["planar"]):
-        counts = _cb_counts(nodes)
+    if not f.dust and out["colors"] in ([], ["planar"]):
+        # the brute force counts the nodes that survive each round, up to
+        # the last round that removes any: its last count is the nodes never
+        # removed, and the one before that the nodes of the last round
+        rounds = max((r for r in f.rounds if r != NEVER), default=0)
+        stalled = f.rounds.get(NEVER, 0)
         out["derivative"] = {
-            "rounds": len(counts) - 1,
-            "final_nonzero": next((c for c in reversed(counts) if c != 0), 0),
-            "stalled": counts[-1] != 0,
+            "rounds": rounds,
+            "final_nonzero": stalled or f.rounds.get(rounds, 0),
+            "stalled": stalled != 0,
         }
     return out, iso_now
 
@@ -339,10 +487,11 @@ def equiv_invariants(a: Term, b: Term, depth: int):
     """
     for side in (a, b):  # before any work, not at the first depth past it
         sample_nodes(side, depth)
+    memo = {}
     iso_a = iso_b = None
     for d in range(depth + 1):
-        ba, iso_a = _bundle(a, d, iso_a)
-        bb, iso_b = _bundle(b, d, iso_b)
+        ba, iso_a = _bundle(_fold(a, d, memo), iso_a)
+        bb, iso_b = _bundle(_fold(b, d, memo), iso_b)
         if ba["perfect_kernel"] != bb["perfect_kernel"]:
             return (
                 "differ",
@@ -367,7 +516,7 @@ def _colors_mismatch(ba: dict, bb: dict):
 
 
 def _isolated_mismatch(ba: dict, bb: dict):
-    for color in set(ba["isolated"]) | set(bb["isolated"]):
+    for color in sorted(set(ba["isolated"]) | set(bb["isolated"])):
         va = ba["isolated"].get(color)
         vb = bb["isolated"].get(color)
         if va == vb:

@@ -246,9 +246,10 @@ def test_oracle_depth_has_a_maximum(capsys):
 
 def test_oracle_sample_trees_have_a_maximum(capsys, monkeypatch):
     def build(*args):
-        raise AssertionError("a sample tree was built before the budget was checked")
+        raise AssertionError("a sample tree was built or folded before the budget was checked")
 
-    monkeypatch.setattr(oracle, "_forest", build)  # refused before any depth runs
+    for name in ("_forest", "_fold"):  # refused before any depth runs
+        monkeypatch.setattr(oracle, name, build)
     nest = "mix(mix(mix(pt,cantor();g),pt;g),ord(w);g)"
     assert run(["oracle", "--compare", nest, nest, "--depth", "12"]) == 65
     out, err = capsys.readouterr()
@@ -489,3 +490,13 @@ def test_a_malformed_table_names_its_first_fault_under_every_hash_seed(
     assert len(errs) == 1
     (err,) = errs
     assert err.count("\n") == 1 and expected in err
+
+
+def test_an_oracle_witness_is_the_same_under_every_hash_seed():
+    argv = ["-m", "endscope", "oracle", "--compare", "sum(pt,pt^g)", "sum(pt,pt,pt^g,pt^g)"]
+    outs = set()
+    for seed in range(12):
+        proc = _python(argv, seed=str(seed))
+        assert proc.returncode == 1 and proc.stderr == ""
+        outs.add(proc.stdout)
+    assert outs == {"differ: isolated at depth 0: genus: 1 vs 2\n"}

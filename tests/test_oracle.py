@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from catalog import countable_catalog, random_terms
 from endscope import oracle
 from endscope.oracle import (
+    NEVER,
     _colors_mismatch,
     _derivative_mismatch,
     _flatten,
+    _fold,
     _hidden,
     _isolated_mismatch,
     bundle,
@@ -137,6 +139,17 @@ def _ref_cb_bruteforce(tr) -> list:
     return counts
 
 
+def _ref_rounds(tr) -> dict:
+    """Nodes per removal round, from the brute-force run: round k + 1
+    removes counts[k] - counts[k + 1] nodes, and counts[-1] are never
+    removed."""
+    counts = _ref_cb_bruteforce(tr)
+    out = {k + 1: counts[k] - counts[k + 1] for k in range(len(counts) - 1)}
+    if counts[-1]:
+        out[NEVER] = counts[-1]
+    return out
+
+
 def _ref_bundle(t, depth) -> dict:
     """The bundle as built from a fresh truncation for every fact."""
     nodes = _ref_flatten(truncate(t, depth).roots)
@@ -187,29 +200,50 @@ def _ref_equiv_invariants(a, b, depth):
 
 
 _NEST_POOL = ["pt", "pt^g", "cantor()", "ord(w)", "cantor(ord(w))", "cantor^g(pt)", "ord(w^(2))"]
+# limit ranks, where the fundamental sequences branch
+_LIMITS = ["ord(w^(w)*2)", "cantor^g(ord(w*2+1),pt^g)", "mix(mix(pt,cantor();g),ord(w^(2));g)"]
+# planar countable terms whose derivative stalls on deep markers below the cut
+_STALLED = ["ord(w^(5))", "mix(mix(ord(w^(2));planar),pt;planar)", "sum(ord(w^(w)),ord(w^(3)*2))"]
+# and ones whose derivative settles by depth 2, so that pairs differ in it
+_SETTLED = ["ord(w*3)", "mix(pt;planar)", "mix(ord(w),pt;planar)", "sum(ord(w^(2)),pt)"]
+_SHAPES = st.sampled_from(_LIMITS + _STALLED + _SETTLED).map(parse_term)
 
 
 @st.composite
-def _nested_mix_pairs(draw):
-    """A genus mix nested up to 4 deep, and the same mix with every
-    component list written in the other order."""
-    sides = draw(st.lists(st.sampled_from(_NEST_POOL), min_size=1, max_size=4))
+def _nested_mix_cases(draw):
+    """A genus mix nested up to 6 deep, the same mix with every component
+    list written in the other order, and a depth up to 6, where the sample
+    tree stays within about 15,000 nodes."""
+    sides = draw(st.lists(st.sampled_from(_NEST_POOL), min_size=1, max_size=6))
     text = perm = "cantor^g()"
     for side in sides:
         text, perm = f"mix({text},{side};g)", f"mix({side},{perm};g)"
-    return parse_term(text), parse_term(perm)
+    return (parse_term(text), parse_term(perm)), draw(st.integers(0, 6))
 
 
 @settings(max_examples=60)
-@given(random_terms, st.integers(0, 4))
+@given(st.one_of(random_terms, _SHAPES), st.integers(0, 4))
 def test_bundle_matches_reference(t, depth):
     assert bundle(t, depth) == _ref_bundle(t, depth)
+    # a bundle shows few exact counts (most grow with the depth), so the
+    # folded counts are held to the built tree too
+    facts, tr = _fold(t, depth, {}), truncate(t, depth)
+    assert {str(c): n for c, n in facts.iso.items()} == _ref_isolated_counts(tr.roots)
+    assert facts.rounds == _ref_rounds(tr)  # prunes tr
+
+
+_DEPTHS = st.integers(0, 4)
 
 
 @settings(max_examples=60)
-@given(st.one_of(st.tuples(random_terms, random_terms), _nested_mix_pairs()), st.integers(0, 4))
-def test_equiv_invariants_matches_reference(pair, depth):
-    a, b = pair
+@given(st.one_of(
+    st.tuples(st.tuples(random_terms, random_terms), _DEPTHS),
+    st.tuples(st.tuples(_SHAPES, _SHAPES), _DEPTHS),
+    st.tuples(st.tuples(_SHAPES, random_terms), _DEPTHS),
+    _nested_mix_cases(),
+))
+def test_equiv_invariants_matches_reference(case):
+    (a, b), depth = case
     assert equiv_invariants(a, b, depth) == _ref_equiv_invariants(a, b, depth)
     assert equiv_invariants(a, a, depth) == _ref_equiv_invariants(a, a, depth)
 
@@ -249,9 +283,6 @@ def test_hidden_facts_match_a_fresh_computation(terms):
 
 # ---------------------------------------------------------------------------
 # the sample-tree budget
-
-
-_LIMITS = ["ord(w^(w)*2)", "cantor^g(ord(w*2+1),pt^g)", "mix(mix(pt,cantor();g),ord(w^(2));g)"]
 
 
 @settings(max_examples=100)

@@ -20,6 +20,7 @@ SRC = Path(endscope.__file__).parent
 _CRITERION_5 = "acceptance criterion 5 factors an alternating map with it"
 _PREORDER = "the family-aware preorder query that the germ tests read"
 _SECOND_OPINION = "the tests' independent second opinion (brute-force oracle)"
+_SAMPLE_TREE = "the built sample tree that tr_embeds, cb_bruteforce and the reference tests walk"
 
 KEEP = {
     "swindle.commutator_from_alternating": _CRITERION_5,
@@ -35,6 +36,14 @@ KEEP = {
     "oracle._subtrees": _SECOND_OPINION,
     "oracle._subtrees_below": _SECOND_OPINION,
     "oracle._has_isolated_below": _SECOND_OPINION,
+    "oracle.TrNode": _SAMPLE_TREE,
+    "oracle.Truncation": _SAMPLE_TREE,
+    "oracle.truncate": _SAMPLE_TREE,
+    "oracle._forest": _SAMPLE_TREE,
+    "oracle._ord_node": _SAMPLE_TREE,
+    "oracle._cantor_node": _SAMPLE_TREE,
+    "oracle._flatten": _SAMPLE_TREE,
+    "oracle._cb_counts": _SAMPLE_TREE,
 }
 
 
