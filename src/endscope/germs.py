@@ -15,6 +15,11 @@ rank classes; these are stored symbolically as one family row "rank(*)" with
 an exclusive upper bound, and queries instantiate a `Member` on demand, which
 answers the row attributes as the rank row of germ Ord(b, 1) would.
 
+Classes are a synthesized attribute: each (term, context) pair has one
+immutable class set (kinds by rank and by canonical germ, the family bound),
+built once from its children's sets. Tables start from these sets; rewrite R4
+(`absorbable`) reads them and builds no table.
+
 Tables read from JSON go through the same queries but carry no germ terms
 (`GermTable.has_germs`, whatever their `origin` says), so only the explicitly
 listed relations are available and no family member is instantiated.
@@ -240,18 +245,6 @@ def _fold_perfect(node: Term, color: Color):
     return None
 
 
-def _germ_color(g: Term) -> Color:
-    if isinstance(g, Pt):
-        return g.color
-    if isinstance(g, Ord):
-        return Color.PLANAR
-    if isinstance(g, Mix):
-        return g.limit_color
-    if isinstance(g, Cantor):
-        return g.color
-    raise ValidationError(f"not a germ term: {pretty(g)}")
-
-
 # ---------------------------------------------------------------------------
 # clopen-embedding of germs
 
@@ -316,62 +309,70 @@ def _cantor_sub(s: Term, t: Term) -> bool:
 # class collection
 
 
-class _Collector:
-    def __init__(self):
-        self.germs = {}  # canonical non-rank germ -> Kind
-        self.ranks = {}  # Cnf rank -> Kind
-        self.fam_bound = None  # exclusive Cnf bound, always >= w when set
+@dataclass(frozen=True)
+class _Classes:
+    """The point classes of a term in one context: kinds by rank and by
+    canonical non-rank germ, and the exclusive family bound (None or >= w)."""
 
-    def add_germ(self, g: Term, kind: Kind):
-        self.germs[g] = self.germs[g] + kind if g in self.germs else kind
-
-    def add_rank(self, b: Cnf, kind: Kind):
-        self.ranks[b] = self.ranks[b] + kind if b in self.ranks else kind
-
-    def bump_family(self, bound: Cnf):
-        if self.fam_bound is None or cmp(self.fam_bound, bound) < 0:
-            self.fam_bound = bound
+    ranks: dict
+    germs: dict
+    bound: Cnf = None
 
 
-def _collect(t: Term, ctx: bool, col: _Collector) -> None:
-    """Gather all point classes of t; ctx marks an infinitely-repeated region."""
+def _union(sets) -> _Classes:
+    """The classes of the disjoint union of the spaces behind `sets`."""
+    ranks, germs, bound = {}, {}, None
+    for s in sets:
+        for into, kinds in ((ranks, s.ranks), (germs, s.germs)):
+            for key, kind in kinds.items():
+                into[key] = into[key] + kind if key in into else kind
+        if s.bound is not None and (bound is None or cmp(bound, s.bound) < 0):
+            bound = s.bound
+    return _Classes(ranks, germs, bound)
+
+
+_class_cache: dict = {}
+
+
+def _classes(t: Term, ctx) -> _Classes:
+    """The classes of t, once per (t, ctx): ctx True marks an infinitely
+    repeated region, None the structural normal form of t, cached under t."""
+    key = (t, ctx)
+    out = _class_cache.get(key)
+    if out is None:
+        out = _class_cache[key] = _collect(t, ctx)
+    return out
+
+
+def _collect(t: Term, ctx) -> _Classes:
+    """The classes of t from its children's class sets."""
+    if ctx is None:
+        return _classes(normalize_structural(t), False)
     base = COUNTABLE if ctx else None
     if isinstance(t, Pt):
         if t.color is Color.GENUS:
-            col.add_germ(Pt(Color.GENUS), base or ONE_POINT)
-        else:
-            col.add_rank(ZERO, base or ONE_POINT)
-        return
+            return _Classes({}, {Pt(Color.GENUS): base or ONE_POINT})
+        return _Classes({ZERO: base or ONE_POINT}, {})
     if isinstance(t, Ord):
-        if t.rank.is_nat():
-            k = ZERO
-            while cmp(k, t.rank) < 0:
-                col.add_rank(k, COUNTABLE)
-                k = add(k, ONE)
-            col.add_rank(t.rank, base or Kind("finite", t.degree))
-        else:
-            col.bump_family(add(t.rank, ONE) if ctx else t.rank)
-            if not ctx:
-                col.add_rank(t.rank, Kind("finite", t.degree))
-        return
-    if isinstance(t, Mix):
-        for c in t.components:
-            _collect(c, True, col)
-        g = canon(t)
-        if isinstance(g, Ord):  # countable planar limit
-            col.add_rank(g.rank, base or ONE_POINT)
-        elif isinstance(g, Cantor):  # limit merged into a dust class
-            col.add_germ(g, CANTOR)
-        else:
-            col.add_germ(g, base or ONE_POINT)
-        return
-    if isinstance(t, Cantor):
-        for c in t.components:
-            _collect(c, True, col)
-        col.add_germ(canon(t), CANTOR)
-        return
-    for p in t.parts:
-        _collect(p, ctx, col)
+        if not t.rank.is_nat():
+            ranks = {} if ctx else {t.rank: Kind("finite", t.degree)}
+            return _Classes(ranks, {}, add(t.rank, ONE) if ctx else t.rank)
+        ranks, k = {}, ZERO
+        while cmp(k, t.rank) < 0:
+            ranks[k] = COUNTABLE
+            k = add(k, ONE)
+        ranks[t.rank] = base or Kind("finite", t.degree)
+        return _Classes(ranks, {})
+    if isinstance(t, Sum):
+        return _union([_classes(p, ctx) for p in t.parts])
+    g = canon(t)
+    if isinstance(t, Cantor) or isinstance(g, Cantor):  # a dust class; a limit may merge into one
+        own = _Classes({}, {g: CANTOR})
+    elif isinstance(g, Ord):  # countable planar limit
+        own = _Classes({g.rank: base or ONE_POINT}, {})
+    else:
+        own = _Classes({}, {g: base or ONE_POINT})
+    return _union([_classes(c, True) for c in t.components] + [own])
 
 
 def _rank_id(b: Cnf) -> str:
@@ -408,9 +409,8 @@ def _derive(t: Term) -> GermTable:
 def _collected_rows(t: Term) -> tuple:
     """The class rows of t before mutually embeddable rows merge, and the
     family bound (None without a family row)."""
-    col = _Collector()
-    _collect(t, False, col)
-    bound = col.fam_bound
+    col = _classes(t, False)
+    bound = col.bound
     rows = []
     for b in sorted(col.ranks, key=_sort_key):
         if bound is not None and cmp(b, bound) < 0:
@@ -428,8 +428,9 @@ def _collected_rows(t: Term) -> tuple:
                 family_bound=bound,
             )
         )
-    for g in sorted(col.germs, key=pretty):
-        rows.append(GermClass(pretty(g), col.germs[g], _germ_color(g), g))
+    for g in sorted(col.germs, key=pretty):  # pt^g, mix and cantor germs
+        color = g.limit_color if isinstance(g, Mix) else g.color
+        rows.append(GermClass(pretty(g), col.germs[g], color, g))
     return rows, bound
 
 
@@ -502,16 +503,14 @@ def _acc_pairs(rows, bound) -> set:
 def _interior_ids(g: Term, by_id: dict, bound) -> set:
     """Ids of classes whose points lie arbitrarily close to the basepoint of g;
     `by_id` maps each row id to its row, in row order."""
-    col = _Collector()
-    for c in g.components:
-        _collect(c, True, col)
+    col = _union([_classes(c, True) for c in g.components])
     out = set()
     for b in col.ranks:
         if bound is not None and cmp(b, bound) < 0:
             out.add(FAMILY_ID)
         else:
             out.add(_rank_id(b))
-    if col.fam_bound is not None:
+    if col.bound is not None:
         out.add(FAMILY_ID)
     for sub in col.germs:
         sid = pretty(sub)
@@ -564,27 +563,23 @@ def absorbable(a: Term, b: Term) -> bool:
 
     True iff every class of a matches a class of b that accumulates
     somewhere inside b, so the copies can be slid into the accumulation
-    sites of b without changing any germ. In a derived table a class
-    accumulates somewhere exactly when its kind is not finite (compactness),
-    so the kind decides; the family row is countable, so it always does.
+    sites of b without changing any germ. A class accumulates somewhere
+    exactly when its kind is not finite (compactness), so the kind decides.
+    Read off both structural normal forms' class sets: family members are
+    countable, and a germ of a matches any germ of b it embeds both ways with.
     """
-    ta, tb = derive_table(a), derive_table(b)
-    fam_b = tb.family_row
-    for row in ta.classes:
-        if row.family:
-            if fam_b is None or cmp(fam_b.family_bound, row.family_bound) < 0:
-                return False
-            continue
-        if row.rank is not None:
-            if fam_b is not None and cmp(row.rank, fam_b.family_bound) < 0:
-                continue  # family members accumulate along the rank chain
-            i = tb.position.get(_rank_id(row.rank))
-            match = None if i is None else tb.classes[i]
-        else:
-            match = _equivalent_row(tb.classes, row.germ)
-        if match is None or match.kind.is_finite:
+    ca, cb = _classes(a, None), _classes(b, None)
+    if ca.bound is not None and (cb.bound is None or cmp(cb.bound, ca.bound) < 0):
+        return False
+    for r in ca.ranks:
+        if cb.bound is not None and cmp(r, cb.bound) < 0:
+            continue  # family members accumulate along the rank chain
+        if r not in cb.ranks or cb.ranks[r].is_finite:
             return False
-    return True
+    return all(
+        any(not k.is_finite and emb(g, h) and emb(h, g) for h, k in cb.germs.items())
+        for g in ca.germs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +594,12 @@ def _resolve(table: GermTable, cid: str):
     fam = table.family_row
     if fam is not None and table.has_germs:
         m = re.fullmatch(r"rank\((.*)\)", cid)
-        if m and m.group(1) != "*":
+        if m:  # "rank(*)" fails to parse
             try:
                 b = parse_cnf(m.group(1))
-            except Exception:
+            except (ParseError, LexError):
                 raise UnknownClass(cid) from None
-            if cmp(b, fam.family_bound) < 0:
+            if _rank_id(b) == cid and cmp(b, fam.family_bound) < 0:
                 return Member(b)
     raise UnknownClass(cid)
 

@@ -10,7 +10,7 @@ Rules, applied bottom-up to a fixed point:
   R4  a Sum part, Mix component, or Cantor component is dropped when a
       sibling already realizes every one of its point classes at an
       accumulation site (so adding copies changes nothing up to
-      homeomorphism); decided with the germ engine, never speculatively
+      homeomorphism); decided on the germ engine's memoized class sets
   R5  a countable all-planar subterm collapses to its rank/degree canonical
       form Ord(rank, degree)
 
@@ -21,7 +21,8 @@ machinery; the germ engine itself canonicalizes through it. `normalize` runs
 `(normalize_structural, _absorb_pass)`, adding R4. `germs.canon` runs
 `(normalize_structural, _canon_pass, _absorb_pass)`: the same list with the
 two homeomorphism rewrites of `_canon_pass` before R4. R4 keeps the first of
-two mutually absorbable siblings, so the pass order fixes the result.
+two mutually absorbable siblings, so the pass order fixes the result. R4 reads
+the class set `germs` keeps per term, so rewriting never builds a `GermTable`.
 """
 
 from __future__ import annotations

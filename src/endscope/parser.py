@@ -45,6 +45,7 @@ KEYWORDS = {"pt", "ord", "mix", "cantor", "sum", "surface", "genus", "ends",
             "inf", "planar", "g", "w"}
 SYMBOLS = "(){},;:+*^"
 MAX_NESTING = 200
+MAX_DIGITS = 4300  # the most decimal digits int() reads by default
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,8 @@ def lex(text: str) -> list:
             j = i
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise LexError(f"number longer than {MAX_DIGITS} digits at {line}:{col}")
             tokens.append(Token("nat", text[i:j], line, col))
             col += j - i
             i = j

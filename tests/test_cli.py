@@ -111,6 +111,18 @@ def test_certify_unknown_end(tmp_path, capsys):
         assert err == "endscope: 'nope'\n"
 
 
+@pytest.mark.parametrize("end", [
+    "rank(007)", "rank( 3 )", "rank(w*0)", "rank(w*1)", "rank(1" + "0" * 4300 + ")",
+])
+def test_a_family_member_has_one_spelling(tmp_path, capsys, end):
+    f = _write(tmp_path, "fam.txt", "ord(w^(w))")  # family bound w, and a row rank(w)
+    assert run(["certify", f, "--end", "rank(3)"]) == 0
+    assert json.loads(capsys.readouterr().out)["basepoint"] == "rank(3)"
+    assert run(["certify", f, "--end", end]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("endscope: ") and err.count("\n") == 1
+
+
 def test_certify_rejects_a_genus_mismatch(tmp_path, capsys):
     good = _write(tmp_path, "good.txt", "surface { genus: inf, ends: cantor^g() }")
     assert run(["certify", good, "--end", "cantor^g()"]) == 0
@@ -144,6 +156,16 @@ def test_non_ascii_digits_are_an_input_error(tmp_path, capsys, command, text):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("endscope: unknown character ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["parse", "verdict"])
+def test_overlong_numbers_are_an_input_error(tmp_path, capsys, command):
+    f = _write(tmp_path, "big.txt", "ord(1" + "0" * 4300 + ")")
+    assert run([command, f]) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("endscope: number longer than 4300 digits")
     assert err.count("\n") == 1
 
 

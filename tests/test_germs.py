@@ -40,7 +40,7 @@ from endscope.germs import (
     predecessors,
     to_json,
 )
-from endscope.normalize import normalize_structural
+from endscope.normalize import normalize, normalize_structural
 from endscope.ordinals import OMEGA, ONE, ZERO, Cnf, add, cmp, print_cnf
 from endscope.parser import parse_term
 from endscope.stability import Decomposition, Stable, stable_nbhd
@@ -720,3 +720,173 @@ def test_json_relations_are_the_closure_of_the_listed_pairs(doc):
     identity = {(c["id"], c["id"]) for c in doc["classes"]}
     assert table.acc == _fixpoint_close(acc)
     assert table.leq == _fixpoint_close({tuple(p) for p in doc["leq"]} | acc | identity)
+
+
+# ---------------------------------------------------------------------------
+# class sets and R4, against the walk and the table lookups they replace
+
+
+class _RefCollector:
+    """The accumulator that one recursive walk of every subterm filled."""
+
+    def __init__(self):
+        self.germs = {}  # canonical non-rank germ -> Kind
+        self.ranks = {}  # Cnf rank -> Kind
+        self.fam_bound = None
+
+    def add_germ(self, g, kind):
+        self.germs[g] = self.germs[g] + kind if g in self.germs else kind
+
+    def add_rank(self, b, kind):
+        self.ranks[b] = self.ranks[b] + kind if b in self.ranks else kind
+
+    def bump_family(self, bound):
+        if self.fam_bound is None or cmp(self.fam_bound, bound) < 0:
+            self.fam_bound = bound
+
+
+def _ref_collect(t, ctx, col):
+    """The classes of t gathered by walking every subterm, with no memo."""
+    base = COUNTABLE if ctx else None
+    if isinstance(t, Pt):
+        if t.color is Color.GENUS:
+            col.add_germ(Pt(Color.GENUS), base or Kind("finite", 1))
+        else:
+            col.add_rank(ZERO, base or Kind("finite", 1))
+        return
+    if isinstance(t, Ord):
+        if t.rank.is_nat():
+            k = ZERO
+            while cmp(k, t.rank) < 0:
+                col.add_rank(k, COUNTABLE)
+                k = add(k, ONE)
+            col.add_rank(t.rank, base or Kind("finite", t.degree))
+        else:
+            col.bump_family(add(t.rank, ONE) if ctx else t.rank)
+            if not ctx:
+                col.add_rank(t.rank, Kind("finite", t.degree))
+        return
+    if isinstance(t, Mix):
+        for c in t.components:
+            _ref_collect(c, True, col)
+        g = canon(t)
+        if isinstance(g, Ord):
+            col.add_rank(g.rank, base or Kind("finite", 1))
+        elif isinstance(g, Cantor):
+            col.add_germ(g, CANTOR)
+        else:
+            col.add_germ(g, base or Kind("finite", 1))
+        return
+    if isinstance(t, Cantor):
+        for c in t.components:
+            _ref_collect(c, True, col)
+        col.add_germ(canon(t), CANTOR)
+        return
+    for p in t.parts:
+        _ref_collect(p, ctx, col)
+
+
+def _ref_absorbable(a, b) -> bool:
+    """R4 read off the derived tables of both siblings."""
+    ta, tb = derive_table(a), derive_table(b)
+    fam_b = tb.family_row
+    for row in ta.classes:
+        if row.family:
+            if fam_b is None or cmp(fam_b.family_bound, row.family_bound) < 0:
+                return False
+            continue
+        if row.rank is not None:
+            if fam_b is not None and cmp(row.rank, fam_b.family_bound) < 0:
+                continue
+            i = tb.position.get(f"rank({print_cnf(row.rank)})")
+            match = None if i is None else tb.classes[i]
+        else:
+            match = next((r for r in tb.classes if r.germ is not None and r.rank is None
+                          and emb(row.germ, r.germ) and emb(r.germ, row.germ)), None)
+        if match is None or match.kind.is_finite:
+            return False
+    return True
+
+
+def _subterms(t) -> list:
+    kids = t.parts if isinstance(t, Sum) else getattr(t, "components", ())
+    return [t] + [s for k in kids for s in _subterms(k)]
+
+
+_SIDES = ["pt", "pt^g", "cantor()", "ord(w)", "cantor(ord(w))", "cantor^g(pt)", "ord(w^(2))",
+          "mix(pt,pt;g)", "ord(3)"]
+
+
+@st.composite
+def _nested_mixes(draw):
+    """A genus mix nested up to 8 deep over a few sides, which R4 shrinks."""
+    text = draw(st.sampled_from(["pt", "pt^g", "cantor^g()"]))
+    for side in draw(st.lists(st.sampled_from(_SIDES), min_size=1, max_size=8)):
+        text = f"mix({text},{side};g)"
+    return parse_term(text)
+
+
+_WHOLE = st.one_of(random_terms, st.sampled_from(_MERGING).map(parse_term), _nested_mixes())
+_SUBTERMS = _WHOLE.flatmap(lambda t: st.sampled_from(_subterms(t)))
+
+
+@settings(max_examples=300)
+@given(_SUBTERMS, st.booleans())
+def test_class_sets_match_the_recursive_walk(term, ctx):
+    col = _RefCollector()
+    _ref_collect(term, ctx, col)
+    got = germs._classes(term, ctx)
+    assert (got.ranks, got.germs, got.bound) == (col.ranks, col.germs, col.fam_bound)
+
+
+# siblings of one term, and pairs of unrelated terms
+_PAIRS = st.one_of(
+    _WHOLE.flatmap(lambda t: st.tuples(*[st.sampled_from(_subterms(t))] * 2)),
+    st.tuples(_SUBTERMS, _SUBTERMS),
+)
+
+
+@settings(max_examples=400)
+@given(_PAIRS)
+def test_absorbable_matches_the_table_lookup(pair):
+    a, b = pair
+    assert germs.absorbable(a, b) == _ref_absorbable(a, b)
+    assert germs.absorbable(b, a) == _ref_absorbable(b, a)
+
+
+def _left_nested_mix(levels: int):
+    term = "pt"
+    for _ in range(levels - 1):
+        term = f"mix({term},pt;g)"
+    return parse_term(term)
+
+
+def test_rewriting_builds_no_table(monkeypatch):
+    built = []
+    inner = germs._table
+
+    def counting(*args, **kw):
+        built.append(args)
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(germs, "_table", counting)
+    monkeypatch.setattr(germs, "_derive_cache", {})
+    term = _left_nested_mix(20)
+    normalize(term)
+    canon(term)
+    assert built == []
+
+
+def test_one_derivation_collects_each_subterm_once(monkeypatch):
+    calls = []
+    inner = germs._collect
+
+    def counting(t, ctx, *rest):
+        calls.append((t, ctx))
+        return inner(t, ctx, *rest)
+
+    monkeypatch.setattr(germs, "_collect", counting)
+    for cache in ("_class_cache", "_canon_cache", "_emb_cache", "_derive_cache"):
+        monkeypatch.setattr(germs, cache, {})
+    derive_table(_left_nested_mix(20))
+    assert calls and len(calls) == len(set(calls))

@@ -2,7 +2,7 @@ import pytest
 
 from catalog import CATALOG_SOURCES, NON_ASCII_DIGITS
 from endscope.ordinals import ONE, OMEGA, from_nat
-from endscope.parser import MAX_NESTING, LexError, ParseError, parse, parse_cnf, parse_term
+from endscope.parser import MAX_DIGITS, MAX_NESTING, LexError, ParseError, parse, parse_cnf, parse_term
 from endscope.terms import (
     Color,
     Mix,
@@ -71,6 +71,15 @@ def test_lex_errors():
         parse_term("frob(pt)")
     with pytest.raises(LexError):
         parse_term("pt $")
+
+
+def test_numbers_have_a_maximum_length():
+    # past it int() would raise a bare ValueError
+    big = "1" + "0" * (MAX_DIGITS - 1)
+    assert parse_cnf(big) == from_nat(10 ** (MAX_DIGITS - 1))
+    for text in (big + "0", f"ord(w*{big}0)", f"surface {{ genus: {big}0, ends: pt }}"):
+        with pytest.raises(LexError, match=f"longer than {MAX_DIGITS} digits"):
+            parse(text)
 
 
 @pytest.mark.parametrize("text", NON_ASCII_DIGITS)
