@@ -122,6 +122,8 @@ def _load(text: str):
             return from_json(json.loads(stripped))
         except (json.JSONDecodeError, ValidationError, ValueError) as e:
             raise _CliError(f"bad germ table: {e}", EXIT_INPUT)
+        except RecursionError:
+            raise _CliError("bad germ table: nested too deeply", EXIT_INPUT)
     try:
         return parse(stripped)
     except (ParseError, LexError, ValidationError) as e:
@@ -285,6 +287,8 @@ def _check_certificate(obj, end: str, cert: dict) -> list:
             problems.append("certificate does not match the input")
         return problems
     if kind == "annuli":
+        if not _is_surface(obj):
+            return ["an annuli certificate needs a surface input"]
         try:
             dec = annuli(obj, end, depth=_depth())
         except NotTelescoping as e:
@@ -325,6 +329,8 @@ def _cmd_certify(args) -> int:
             cert = json.loads(_read(args.check))
         except json.JSONDecodeError as e:
             raise _CliError(f"bad certificate file: {e}", EXIT_INPUT)
+        except RecursionError:
+            raise _CliError("bad certificate file: nested too deeply", EXIT_INPUT)
         if not isinstance(cert, dict):
             raise _CliError("bad certificate file: not a JSON object", EXIT_INPUT)
         problems = _check_certificate(obj, args.end, cert)

@@ -14,10 +14,12 @@ Rules, applied bottom-up to a fixed point:
   R5  a countable all-planar subterm collapses to its rank/degree canonical
       form Ord(rank, degree)
 
-Every rewriter is one loop, `fixpoint(t, passes)`, which applies its passes
-in order until a whole round changes nothing. `normalize_structural` runs the
-pass list `(_pass,)`, R1/R2/R3/R5 only, and has no dependency on the germ
-machinery; the germ engine itself canonicalizes through it. `normalize` runs
+`normalize_structural` is one bottom-up `_pass`, R1/R2/R3/R5 only: the
+children come back normal and the node rules leave nothing for a second pass
+to rewrite. It has no dependency on the germ machinery; the germ engine
+itself canonicalizes through it. The other rewriters are one loop,
+`fixpoint(t, passes)`, which applies its passes in order until a whole round
+changes nothing. `normalize` runs
 `(normalize_structural, _absorb_pass)`, adding R4. `germs.canon` runs
 `(normalize_structural, _canon_pass, _absorb_pass)`: the same list with the
 two homeomorphism rewrites of `_canon_pass` before R4. R4 keeps the first of
@@ -54,8 +56,8 @@ def fixpoint(t: Term, passes) -> Term:
 
 
 def normalize_structural(t: Term) -> Term:
-    """R1/R2/R3/R5 to a fixed point, bottom-up."""
-    return fixpoint(t, (_pass,))
+    """R1/R2/R3/R5 in one bottom-up pass, which is a fixed point."""
+    return _pass(t)
 
 
 def _pass(t: Term) -> Term:

@@ -20,18 +20,22 @@ repeats them. `truncate` still builds the tree, for `tr_embeds` and
 
 A sample tree grows exponentially with the depth, so one truncation holds at
 most MAX_SAMPLE_NODES nodes; a larger one is a ValidationError naming the
-maximum, raised by `sample_nodes` before any node is built or folded.
+maximum. The fold counts the nodes it covers and stops at the first partial
+sum past the maximum, so `sample_nodes` refuses such a tree before any node
+is built or any depth compared, with work bounded by the budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ordinals import Cnf, fundamental
 from .terms import Cantor, Color, Mix, NotCountable, Ord, Pt, Sum, Term, ValidationError
 
 MAX_SAMPLE_NODES = 250_000
+_PLANAR = frozenset((Color.PLANAR,))
 
 
 @dataclass
@@ -61,13 +65,14 @@ def truncate(t: Term, depth: int) -> Truncation:
     return Truncation(depth, _forest(t, depth, {}))
 
 
-def sample_nodes(t: Term, depth: int) -> int:
-    """The number of nodes truncate(t, depth) builds, counted without
-    building them. Past MAX_SAMPLE_NODES, a ValidationError naming the
-    maximum. The count grows with the depth, so a term within the budget at
-    one depth is within it at every smaller one."""
+def sample_nodes(t: Term, depth: int, memo: dict | None = None) -> int:
+    """The number of nodes truncate(t, depth) builds, read off the fold
+    without building them. Past MAX_SAMPLE_NODES, a ValidationError naming
+    the maximum. The count grows with the depth, so a term within the budget
+    at one depth is within it at every smaller one. A `memo` passed in keeps
+    the folded facts for later `_fold` calls on the same term."""
     try:
-        return _count(t, depth, {})
+        return _fold(t, depth, {} if memo is None else memo).nodes
     except _OverBudget:
         raise ValidationError(
             f"the depth-{depth} sample tree exceeds the maximum of "
@@ -82,60 +87,6 @@ class _OverBudget(Exception):
 def _within(n: int) -> int:
     if n > MAX_SAMPLE_NODES:
         raise _OverBudget
-    return n
-
-
-def _count(t: Term, d: int, memo: dict) -> int:
-    """Nodes of `_forest(t, d)`; raises _OverBudget at the first partial sum
-    past the budget, so the work stays within the budget too."""
-    key = (t, d)
-    n = memo.get(key)
-    if n is not None:
-        return n
-    if isinstance(t, Pt):
-        n = 1
-    elif isinstance(t, Ord):
-        n = _within(t.degree * _count_ord(t.rank, d, memo))
-    elif isinstance(t, Mix):
-        n = _within(1 + d * _count_all(_distinct(t.components), d - 1, memo)) if d > 0 else 1
-    elif isinstance(t, Cantor):
-        comps = _distinct(t.components)
-        n = 1  # `_cantor_node` at depth 0, then one depth more per round
-        for below in range(d):
-            n = _within(1 + 2 * n + _count_all(comps, below, memo))
-    else:
-        n = _count_all(t.parts, d, memo)
-    memo[key] = n
-    return n
-
-
-def _count_all(terms, d: int, memo: dict) -> int:
-    n = 0
-    for c in terms:
-        n = _within(n + _count(c, d, memo))
-    return n
-
-
-def _count_ord(rank: Cnf, budget: int, memo: dict) -> int:
-    """Nodes of `_ord_node(rank, budget)`. The `budget` groups of a successor
-    rank are alike, so its chain of predecessors is a loop whose product of
-    widths stops it within the budget."""
-    widths, least = [], 1
-    while budget > 0 and rank.is_successor():
-        least = _within(least * budget)
-        widths.append(budget)
-        rank, budget = rank.pred(), budget - 1
-    n = 1
-    if budget > 0 and not rank.is_zero():  # a limit rank
-        key = (rank, budget)
-        n = memo.get(key)
-        if n is None:
-            n = 1
-            for k in range(1, budget + 1):
-                n = _within(n + _count_ord(fundamental(rank, k), budget - 1, memo))
-            memo[key] = n
-    for width in reversed(widths):
-        n = _within(1 + width * n)
     return n
 
 
@@ -182,8 +133,7 @@ def _hidden(t: Term, memo: dict) -> tuple:
     if isinstance(t, Pt):
         out = (frozenset((t.color,)), frozenset((t.color,)), False)
     elif isinstance(t, Ord):
-        planar = frozenset((Color.PLANAR,))
-        out = (planar, planar, False)
+        out = (_PLANAR, _PLANAR, False)
     else:
         kids = [_hidden(k, memo) for k in (t.parts if isinstance(t, Sum) else t.components)]
         colors = frozenset().union(*(k[0] for k in kids))
@@ -212,9 +162,8 @@ def _ord_node(rank: Cnf, budget: int) -> TrNode:
     if rank.is_zero():
         return TrNode(Color.PLANAR, "point")
     if budget <= 0:
-        planar = frozenset((Color.PLANAR,))
         return TrNode(
-            Color.PLANAR, "deep", hidden_colors=planar, hidden_iso=planar
+            Color.PLANAR, "deep", hidden_colors=_PLANAR, hidden_iso=_PLANAR
         )
     node = TrNode(Color.PLANAR, "point")
     for k in range(1, budget + 1):
@@ -287,14 +236,15 @@ def _flatten(roots) -> list:
 # invariant bundles and comparison
 
 
-@dataclass(frozen=True)
-class _Facts:
+class _Facts(NamedTuple):
     """What a bundle reads off a forest of sample trees: every color shown or
     hidden, the hidden isolated colors, whether dust occurs (shown or
-    hidden), whether a deep marker occurs, the isolated points per color, and
-    the nodes per Cantor-Bendixson removal round. A leaf point is removed in
-    round 1, a point with children one round after the last of them; deep
-    and dust nodes, and the points above them, in round NEVER."""
+    hidden), whether a deep marker occurs, the isolated points per color, the
+    nodes per Cantor-Bendixson removal round, and the nodes in all, the sum
+    of `rounds`. A leaf point is removed in round 1, a point with children
+    one round after the last of them; deep and dust nodes, and the points
+    above them, in round NEVER. Every total passes through `_within`, so a
+    fold past the budget stops at its first partial sum past it."""
 
     colors: frozenset
     hidden_iso: frozenset
@@ -302,10 +252,11 @@ class _Facts:
     deep: bool
     iso: dict  # Color -> isolated points
     rounds: dict  # removal round -> nodes
+    nodes: int
 
 
 NEVER = math.inf
-_NONE = _Facts(frozenset(), frozenset(), False, False, {}, {})
+_NONE = _Facts(frozenset(), frozenset(), False, False, {}, {}, 0)
 _NOTHING_HIDDEN = (frozenset(), frozenset(), False)
 
 
@@ -320,22 +271,23 @@ def _times(f: _Facts, k: int) -> _Facts:
         f.deep,
         {c: k * n for c, n in f.iso.items()},
         {r: k * n for r, n in f.rounds.items()},
+        _within(k * f.nodes),
     )
 
 
-def _join(forests) -> _Facts:
-    """The facts of forests laid side by side."""
-    out = _NONE
-    for f in forests:
-        out = _Facts(
-            out.colors | f.colors,
-            out.hidden_iso | f.hidden_iso,
-            out.dust or f.dust,
-            out.deep or f.deep,
-            _add(out.iso, f.iso),
-            _add(out.rounds, f.rounds),
-        )
-    return out
+def _join(a: _Facts, b: _Facts) -> _Facts:
+    """The facts of two forests laid side by side."""
+    if a is _NONE:
+        return b
+    return _Facts(
+        a.colors | b.colors,
+        a.hidden_iso | b.hidden_iso,
+        a.dust or b.dust,
+        a.deep or b.deep,
+        _add(a.iso, b.iso),
+        _add(a.rounds, b.rounds),
+        _within(a.nodes + b.nodes),
+    )
 
 
 def _add(a: dict, b: dict) -> dict:
@@ -363,15 +315,24 @@ def _node(color: Color, mark: str, below: _Facts, hidden=_NOTHING_HIDDEN) -> _Fa
         mark == "deep",
         iso,
         {removed: 1},
+        1,
     )
-    return _join((below, own))
+    return _join(below, own)
+
+
+# the leaves of every ordinal tree: a point of rank 0, and a point of
+# positive rank past the depth budget
+_ORD_POINT = _node(Color.PLANAR, "point", _NONE)
+_ORD_DEEP = _node(Color.PLANAR, "deep", _NONE, (_PLANAR, _PLANAR, False))
 
 
 def _fold(t: Term, d: int, memo: dict) -> _Facts:
     """The facts of `_forest(t, d)`, without building it. `memo` holds the
     facts of every distinct (subterm, depth), (rank, budget) and (Cantor
     components, color, depth) of one `bundle` or `equiv_invariants` call,
-    and `_hidden`'s answers."""
+    and `_hidden`'s answers. Children are folded in loops, one frame per
+    level of the term, so the deepest inputs stay within the recursion
+    limit."""
     key = (t, d)
     f = memo.get(key)
     if f is not None:
@@ -382,37 +343,39 @@ def _fold(t: Term, d: int, memo: dict) -> _Facts:
         f = _times(_fold_ord(t.rank, d, memo), t.degree)
     elif isinstance(t, Mix):
         if d > 0:
-            group = _join(_fold(c, d - 1, memo) for c in _distinct(t.components))
+            group = _NONE
+            for c in _distinct(t.components):
+                group = _join(group, _fold(c, d - 1, memo))
             f = _node(t.limit_color, "point", _times(group, d))
         else:
             f = _node(t.limit_color, "deep", _NONE, _hidden(t, memo))
     elif isinstance(t, Cantor):
         f = _fold_cantor(tuple(_distinct(t.components)), t.color, d, memo)
     else:
-        f = _join(_fold(p, d, memo) for p in t.parts)
+        f = _NONE
+        for p in t.parts:
+            f = _join(f, _fold(p, d, memo))
     memo[key] = f
     return f
 
 
 def _fold_ord(rank: Cnf, budget: int, memo: dict) -> _Facts:
     """The facts of `_ord_node(rank, budget)`."""
+    if rank.is_zero():
+        return _ORD_POINT
+    if budget <= 0:
+        return _ORD_DEEP
     key = (rank, budget)
     f = memo.get(key)
     if f is not None:
         return f
-    if rank.is_zero():
-        f = _node(Color.PLANAR, "point", _NONE)
-    elif budget <= 0:
-        planar = frozenset((Color.PLANAR,))
-        f = _node(Color.PLANAR, "deep", _NONE, (planar, planar, False))
-    elif rank.is_successor():
+    if rank.is_successor():
         below = _times(_fold_ord(rank.pred(), budget - 1, memo), budget)
-        f = _node(Color.PLANAR, "point", below)
     else:
-        below = _join(
-            _fold_ord(fundamental(rank, k), budget - 1, memo) for k in range(1, budget + 1)
-        )
-        f = _node(Color.PLANAR, "point", below)
+        below = _NONE
+        for k in range(1, budget + 1):
+            below = _join(below, _fold_ord(fundamental(rank, k), budget - 1, memo))
+    f = _node(Color.PLANAR, "point", below)
     memo[key] = f
     return f
 
@@ -429,17 +392,18 @@ def _fold_cantor(distinct_comps: tuple, color: Color, d: int, memo: dict) -> _Fa
         iso = frozenset().union(*(h[1] for h in hidden))
         f = _node(color, "dust", _NONE, (colors, iso, False))
     else:
-        dust = _times(_fold_cantor(distinct_comps, color, d - 1, memo), 2)
-        gaps = (_fold(c, d - 1, memo) for c in distinct_comps)
-        f = _node(color, "dust", _join((dust, *gaps)))
+        below = _times(_fold_cantor(distinct_comps, color, d - 1, memo), 2)
+        for c in distinct_comps:  # the gaps
+            below = _join(below, _fold(c, d - 1, memo))
+        f = _node(color, "dust", below)
     memo[key] = f
     return f
 
 
 def bundle(t: Term, depth: int) -> dict:
     """Robust invariants of the depth-`depth` truncation of t."""
-    sample_nodes(t, depth)
     memo = {}
+    sample_nodes(t, depth, memo)
     iso_prev = _bundle(_fold(t, depth - 1, memo), None)[1] if depth >= 1 else None
     return _bundle(_fold(t, depth, memo), iso_prev)[0]
 
@@ -485,9 +449,9 @@ def equiv_invariants(a: Term, b: Term, depth: int):
     deficit on a side that carries unexpanded deep markers is skipped too
     (the missing points may sit below the depth budget).
     """
-    for side in (a, b):  # before any work, not at the first depth past it
-        sample_nodes(side, depth)
     memo = {}
+    for side in (a, b):  # before any depth is compared
+        sample_nodes(side, depth, memo)
     iso_a = iso_b = None
     for d in range(depth + 1):
         ba, iso_a = _bundle(_fold(a, d, memo), iso_a)

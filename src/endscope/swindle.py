@@ -56,14 +56,7 @@ def reduce_word(letters) -> tuple:
 
 
 def word_mul(*words) -> tuple:
-    out = []
-    for w in words:
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+    return reduce_word(x for w in words for x in w)
 
 
 def word_inv(w) -> tuple:

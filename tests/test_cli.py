@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -268,15 +269,43 @@ def test_oracle_depth_has_a_maximum(capsys):
 
 def test_oracle_sample_trees_have_a_maximum(capsys, monkeypatch):
     def build(*args):
-        raise AssertionError("a sample tree was built or folded before the budget was checked")
+        raise AssertionError("a sample tree was built or a depth compared before the refusal")
 
-    for name in ("_forest", "_fold"):  # refused before any depth runs
+    for name in ("_forest", "_bundle"):  # refused before any depth runs
         monkeypatch.setattr(oracle, name, build)
+    nodes = []
+    node = oracle._node
+
+    def counting(*args):
+        nodes.append(args)
+        return node(*args)
+
+    monkeypatch.setattr(oracle, "_node", counting)
     nest = "mix(mix(mix(pt,cantor();g),pt;g),ord(w);g)"
-    assert run(["oracle", "--compare", nest, nest, "--depth", "12"]) == 65
+    for term, depth in ((nest, "12"), ("cantor()", "256")):
+        nodes.clear()
+        assert run(["oracle", "--compare", term, term, "--depth", depth]) == 65
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert f"maximum of {oracle.MAX_SAMPLE_NODES} nodes" in err
+        # the fold stops at its first partial sum past the budget
+        assert len(nodes) < 100
+
+
+_DEEP_RANK = "ord(w^(w^(300)))"
+
+
+@pytest.mark.parametrize("term", [
+    functools.reduce(lambda t, _: f"sum({t},pt)", range(190), _DEEP_RANK),
+    functools.reduce(lambda t, _: f"mix({t},pt;g)", range(190), _DEEP_RANK),
+    functools.reduce(lambda t, _: f"sum({t},pt)", range(190), f"cantor({_DEEP_RANK})"),
+], ids=["sum", "mix", "cantor-in-sum"])
+def test_an_oracle_refusal_at_full_nesting_and_depth_is_one_line(capsys, monkeypatch, term):
+    monkeypatch.setattr(oracle, "MAX_SAMPLE_NODES", 1_000)
+    assert run(["oracle", "--compare", term, term, "--depth", "256"]) == 65
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert f"maximum of {oracle.MAX_SAMPLE_NODES} nodes" in err
+    assert "maximum of 1000 nodes" in err
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
@@ -357,6 +386,34 @@ _TABLE = {
     "leq": [["a", "b"]],
     "acc": [["a", "b"]],
 }
+
+
+@pytest.mark.parametrize("text, end", [
+    ("mix(ord(w),pt^g;g)", "pt^g"),
+    ("ord(w)", "rank(0)"),
+    (json.dumps(_TABLE), "a"),
+], ids=["mix", "ord", "table"])
+def test_an_annuli_certificate_of_a_non_surface_fails_its_check(tmp_path, capsys, text, end):
+    f = _write(tmp_path, "in.txt", text)
+    c = _write(tmp_path, "cert.json", json.dumps({"kind": "annuli"}))
+    assert run(["certify", f, "--end", end, "--check", c]) == 1
+    out, err = capsys.readouterr()
+    assert out == "check failed: an annuli certificate needs a surface input\n" and err == ""
+
+
+@pytest.mark.parametrize("levels", [1_000, 100_000])
+@pytest.mark.parametrize("path", ["table", "certificate"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, levels, path):
+    nested = "[" * levels + "]" * levels
+    if path == "table":
+        argv = ["verdict", _write(tmp_path, "t.json", '{"classes": ' + nested + "}")]
+        message = "bad germ table"
+    else:
+        c = _write(tmp_path, "cert.json", nested)
+        argv = ["certify", _write(tmp_path, "pt.txt", "pt"), "--end", "rank(0)", "--check", c]
+        message = "bad certificate file"
+    assert run(argv) == 65
+    assert capsys.readouterr() == ("", f"endscope: {message}: nested too deeply\n")
 
 
 @pytest.mark.parametrize("doc", [

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catalog import catalog, random_term
+from catalog import catalog, random_term, random_terms, raw_terms
 from endscope import germs
 from endscope.germs import _canon_pass, canon
-from endscope.normalize import _absorb_pass, fixpoint, normalize, normalize_structural
+from endscope.normalize import _absorb_pass, _pass, fixpoint, normalize, normalize_structural
 from endscope.oracle import equiv_invariants
 from endscope.parser import parse_term
 from endscope.terms import ValidationError, Mix, Pt, Color, pretty
@@ -83,6 +83,14 @@ def test_structural_normalization_is_stable_under_full_normalize():
         t = random_term(rng)
         full = normalize(t)
         assert normalize_structural(full) == full
+
+
+@settings(max_examples=200)
+@given(st.one_of(raw_terms, random_terms))
+def test_one_structural_pass_is_a_fixed_point(t):
+    # so normalize_structural needs no second pass to confirm its result
+    once = _pass(t)
+    assert _pass(once) == once, pretty(t)
 
 
 # seeded random terms at the generator's default size 5 and at size 7
