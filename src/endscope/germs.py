@@ -20,6 +20,9 @@ immutable class set (kinds by rank and by canonical germ, the family bound),
 built once from its children's sets. Tables start from these sets; rewrite R4
 (`absorbable`) reads them and builds no table.
 
+`canon`, `emb`, `_classes`, `derive_table` and `_derive` are memoized per
+process under one policy, `_memo`: each keeps its last `MEMO_ENTRIES` results.
+
 Tables read from JSON go through the same queries but carry no germ terms
 (`GermTable.has_germs`, whatever their `origin` says), so only the explicitly
 listed relations are available and no family member is instantiated.
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .normalize import _absorb_pass, fixpoint, normalize_structural
 from .ordinals import Cnf, ONE, ZERO, add, cmp, print_cnf
@@ -193,13 +196,15 @@ class Member:
         return Ord(self.rank, 1)
 
 
+MEMO_ENTRIES = 1 << 16
+_memo = lru_cache(maxsize=MEMO_ENTRIES)
+
+
 # ---------------------------------------------------------------------------
 # canonical germ terms
 
 
-_canon_cache: dict = {}
-
-
+@_memo
 def canon(t: Term) -> Term:
     """Canonical form deciding germ equality.
 
@@ -208,12 +213,7 @@ def canon(t: Term) -> Term:
     set of its color, and a one-point compactification of clopen copies of a
     same-colored Cantor-rooted space is that space itself.
     """
-    out = _canon_cache.get(t)
-    if out is None:
-        out = fixpoint(t, (normalize_structural, _canon_pass, _absorb_pass))
-        # a whole round leaves `out` unchanged, so it is its own canonical form
-        _canon_cache[t] = _canon_cache[out] = out
-    return out
+    return fixpoint(t, (normalize_structural, _canon_pass, _absorb_pass))
 
 
 def _canon_pass(t: Term) -> Term:
@@ -264,22 +264,13 @@ def cap(t: Term):
     return best
 
 
-_emb_cache: dict = {}
-
-
+@_memo
 def emb(s: Term, t: Term) -> bool:
     """Whether germ s (canonical) clopen-embeds into t, canonicalized first.
-    Each pair (s, canon(t)) is decided once per process."""
+    The memo sits on `emb` itself, not on a helper behind it: every memoized
+    call counts against the recursion limit, and terms nest `MAX_NESTING`
+    levels deep."""
     t = canon(t)
-    key = (s, t)
-    out = _emb_cache.get(key)
-    if out is None:
-        out = _emb_cache[key] = _emb(s, t)
-    return out
-
-
-def _emb(s: Term, t: Term) -> bool:
-    """`emb` on a canonical t, unmemoized; recursion goes through `emb`."""
     if s == t:
         return True
     if isinstance(s, Ord):
@@ -331,21 +322,11 @@ def _union(sets) -> _Classes:
     return _Classes(ranks, germs, bound)
 
 
-_class_cache: dict = {}
-
-
+@_memo
 def _classes(t: Term, ctx) -> _Classes:
-    """The classes of t, once per (t, ctx): ctx True marks an infinitely
-    repeated region, None the structural normal form of t, cached under t."""
-    key = (t, ctx)
-    out = _class_cache.get(key)
-    if out is None:
-        out = _class_cache[key] = _collect(t, ctx)
-    return out
-
-
-def _collect(t: Term, ctx) -> _Classes:
-    """The classes of t from its children's class sets."""
+    """The classes of t from its children's class sets, once per (t, ctx):
+    ctx True marks an infinitely repeated region, None the structural normal
+    form of t."""
     if ctx is None:
         return _classes(normalize_structural(t), False)
     base = COUNTABLE if ctx else None
@@ -379,25 +360,18 @@ def _rank_id(b: Cnf) -> str:
     return f"rank({print_cnf(b)})"
 
 
-_derive_cache: dict = {}
-
-
+@_memo
 def derive_table(t: Term) -> GermTable:
-    """The table of t, cached under t as given and under its structural
-    normal form, so a hit neither validates nor normalizes again. An invalid
-    term is never cached and raises on every call."""
-    table = _derive_cache.get(t)
-    if table is None:
-        require_valid(t)
-        n = normalize_structural(t)
-        table = _derive_cache.get(n)
-        if table is None:
-            table = _derive(n)
-        _derive_cache[t] = _derive_cache[n] = table
-    return table
+    """The table of t. A hit neither validates nor normalizes again. An
+    invalid term raises on every call, because the memo stores no exception."""
+    require_valid(t)
+    return _derive(normalize_structural(t))
 
 
+@_memo
 def _derive(t: Term) -> GermTable:
+    """The table of a structural normal form t, which every term with that
+    normal form shares."""
     rows, bound = _collected_rows(t)
     pairs = {(a.id, b.id) for a in rows for b in rows if _row_leq(a, b, bound)}
     rows = _merge_mutual(rows, pairs)
@@ -441,8 +415,6 @@ def _sort_key(b: Cnf):
 def _row_leq(a: GermClass, b: GermClass, bound) -> bool:
     """a ⪯ b; for the family row: every member vs. some member."""
     if a.id == b.id:
-        return True
-    if a.family and b.family:
         return True
     if a.family:
         c = cap(b.germ)

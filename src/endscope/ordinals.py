@@ -31,6 +31,16 @@ class Cnf:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        # one frame per exponent level, through `cmp`, where comparing the
+        # nested summand tuples takes several, and the parser lets exponents
+        # nest `MAX_NESTING` deep
+        if self is other:
+            return True
+        if not isinstance(other, Cnf):
+            return NotImplemented
+        return self._hash == other._hash and cmp(self, other) == 0
+
     def __post_init__(self):
         for exp, coeff in self.summands:
             if not isinstance(exp, Cnf):

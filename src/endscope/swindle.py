@@ -221,9 +221,9 @@ def commutator_from_alternating(f: SlotWord, split, conj):
 
 @dataclass(frozen=True)
 class SlotLayout:
-    """An ordered slot list with tags red(i), blue(i), blue(~i), separator."""
+    """An ordered slot list: red slots, blue blocks, and the separator slots
+    between them, which are in neither."""
 
-    tags: tuple  # tag string per slot index
     red: tuple  # slot indices of the red letters, in order
     blue_blocks: tuple  # (inverse-half slots, positive-half slots) per block
 
@@ -255,33 +255,33 @@ def em_layout(d: int):
     The layout alternates red slots (the letters of f, in order) with blue
     blocks: block k carries the inverse letters ~1..~k followed by the
     positive letters 1..k, with a separator slot between any two consecutive
-    groups. Returns (layout, h1, h2) where h1 reads every tagged slot and h2
-    reads the blue slots only.
+    groups. Returns (layout, h1, h2) where h1 reads every lettered slot and
+    h2 reads the blue slots only.
     """
     if d < 1:
         raise ValueError("need at least one letter")
-    tags = []
+    slots = 0
     words = {}
     red = []
     blue_blocks = []
 
-    def emit(tag, letter=None):
-        idx = len(tags)
-        tags.append(tag)
+    def emit(letter=None):
+        nonlocal slots
         if letter is not None:
-            words[idx] = (letter,)
-        return idx
+            words[slots] = (letter,)
+        slots += 1
+        return slots - 1
 
     for k in range(1, d + 1):
-        red.append(emit(f"red({k})", k))
-        emit("separator")
-        inv_half = tuple(emit(f"blue(~{i})", -i) for i in range(1, k + 1))
-        pos_half = tuple(emit(f"blue({i})", i) for i in range(1, k + 1))
+        red.append(emit(k))
+        emit()  # separator
+        inv_half = tuple(emit(-i) for i in range(1, k + 1))
+        pos_half = tuple(emit(i) for i in range(1, k + 1))
         blue_blocks.append((inv_half, pos_half))
         if k < d:
-            emit("separator")
+            emit()  # separator
 
-    layout = SlotLayout(tuple(tags), tuple(red), tuple(blue_blocks))
+    layout = SlotLayout(tuple(red), tuple(blue_blocks))
     h1 = slot_word(words)
     h2 = slot_word({s: w for s, w in words.items() if s not in set(red)})
     return layout, h1, h2

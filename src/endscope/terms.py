@@ -153,7 +153,6 @@ INF = "inf"
 class SurfaceDescriptor:
     genus: object  # natural number or INF
     ends: Term
-    boundary: int = 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from catalog import NON_ASCII_DIGITS
 from endscope import cli, germs, oracle, stability
 from endscope.cli import _load, run
 from endscope.examples_builtin import EXAMPLES
-from endscope.parser import parse
+from endscope.parser import MAX_NESTING, ParseError, parse
 
 
 def _write(tmp_path, name, text):
@@ -579,3 +579,82 @@ def test_an_oracle_witness_is_the_same_under_every_hash_seed():
         assert proc.returncode == 1 and proc.stderr == ""
         outs.add(proc.stdout)
     assert outs == {"differ: isolated at depth 0: genus: 1 vs 2\n"}
+
+
+# ---------------------------------------------------------------------------
+# the deepest inputs the parser accepts run through the engine
+
+
+def _nested(wraps, wrap, leaf="pt"):
+    return functools.reduce(wrap, range(wraps), leaf)
+
+
+# input shape -> the input with a given number of wraps around its leaf
+_DEEPEST = {
+    "genus-mix": lambda n: _nested(n, lambda t, _: f"mix(pt,{t};g)"),
+    "genus-alternation": lambda n: _nested(
+        n, lambda t, i: f"mix({t},pt;g)" if i % 2 else f"cantor^g({t})"),
+    "planar-alternation": lambda n: _nested(
+        n, lambda t, i: f"mix({t},pt;planar)" if i % 2 else f"cantor({t})"),
+    "rank-tower": lambda n: "ord(" + _nested(n, lambda t, _: f"w^({t})", "1") + ")",
+}
+_SURFACE_GENUS = {"genus-alternation": "inf", "planar-alternation": "0"}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEPEST))
+def test_the_deepest_inputs_sit_at_the_nesting_maximum(shape):
+    parse(_DEEPEST[shape](MAX_NESTING - 1))
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse(_DEEPEST[shape](MAX_NESTING))
+
+
+# the term verdict of the two mixes is left out: it takes 3 to 12 s
+@pytest.mark.parametrize("shape, command", [
+    ("genus-mix", "classify"),
+    ("genus-mix", "normalize"),
+    ("genus-alternation", "classify"),
+    ("genus-alternation", "normalize"),
+    ("genus-alternation", "surface verdict"),
+    ("planar-alternation", "classify"),
+    ("planar-alternation", "normalize"),
+    ("planar-alternation", "surface verdict"),
+    ("rank-tower", "classify"),
+    ("rank-tower", "normalize"),
+    ("rank-tower", "verdict"),
+])
+def test_the_deepest_accepted_inputs_run_through_the_engine(tmp_path, shape, command):
+    # a fresh process, so that the stack is as deep as the command line makes
+    # it: every memoized call on the way down counts against the recursion limit
+    text = _DEEPEST[shape](MAX_NESTING - 1)
+    if command == "surface verdict":
+        command, text = "verdict", f"surface {{ genus: {_SURFACE_GENUS[shape]}, ends: {text} }}"
+    f = _write(tmp_path, "deep.txt", text)
+    proc = _python(["-m", "endscope", command, f])
+    assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr, proc.stderr[-500:]
+
+
+# equal but distinct ordinals nested that deep compare in one frame per level
+_TOWER = _DEEPEST["rank-tower"](MAX_NESTING - 1)
+
+
+def test_a_certificate_of_the_deepest_rank_replays(tmp_path, capsys):
+    f = _write(tmp_path, "tower.txt", _TOWER)
+    assert run(["classify", f]) == 0
+    classes = json.loads(capsys.readouterr().out)["classes"]
+    top = next(c["id"] for c in classes if not c.get("family"))
+    assert run(["certify", f, "--end", top]) == 0
+    cert = _write(tmp_path, "cert.json", capsys.readouterr().out)
+    assert run(["certify", f, "--end", top, "--check", cert]) == 0
+    assert capsys.readouterr() == ("certificate ok\n", "")
+
+
+def test_the_oracle_compares_the_deepest_rank_with_itself(capsys):
+    assert run(["oracle", "--compare", _TOWER, _TOWER, "--depth", "3"]) == 0
+    assert capsys.readouterr() == ("same up to depth 3\n", "")
+
+
+def test_the_deepest_rank_finds_its_memoized_table(tmp_path, capsys):
+    f = _write(tmp_path, "tower.txt", _TOWER)
+    assert run(["verdict", f]) == 0
+    assert run(["classify", f]) == 0  # the memo compares the two parsed terms
+    assert capsys.readouterr().err == ""

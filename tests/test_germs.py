@@ -561,11 +561,9 @@ def test_memoized_emb_matches_the_recursion(t1, t2):
     found = [r.germ for t in (t1, t2) for r in derive_table(t).classes if r.germ is not None]
     pairs = [(s, t) for s in found for t in found]
     expected = [_ref_emb(s, t) for s, t in pairs]
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(germs, "_emb_cache", {})
-        assert [emb(s, t) for s, t in pairs] == expected  # cold
-        assert [emb(s, t) for s, t in pairs] == expected  # warm
-    assert [emb(s, t) for s, t in pairs] == expected  # the process-wide memo
+    emb.cache_clear()
+    assert [emb(s, t) for s, t in pairs] == expected  # cold
+    assert [emb(s, t) for s, t in pairs] == expected  # warm
 
 
 def _rank_rows(b: Cnf, label: str) -> list:
@@ -585,20 +583,27 @@ def test_rank_rows_compare_as_their_germs_embed(a, b, bound):
                 assert _row_leq(rx, ry, bound) == expected, (rx, ry)
 
 
+_MEMOS = (canon, emb, germs._classes, derive_table, germs._derive)
+
+
+def _clear_memos():
+    for f in _MEMOS:
+        f.cache_clear()
+
+
 def test_one_derivation_decides_each_embedding_once(monkeypatch):
     calls = []
-    inner = germs._emb
 
     def counting(s, t):
         calls.append((s, t))
-        return inner(s, t)
+        return emb(s, t)
 
-    monkeypatch.setattr(germs, "_emb", counting)
-    monkeypatch.setattr(germs, "_emb_cache", {})
-    monkeypatch.setattr(germs, "_derive_cache", {})
+    # the recursion inside `emb` reads the module global, so it is counted too
+    monkeypatch.setattr(germs, "emb", counting)
+    _clear_memos()
     term = parse_term("mix(mix(mix(mix(cantor(pt),pt;g),ord(w);g),cantor^g(pt^g);g),pt;g)")
     derive_table(term)
-    assert calls and len(calls) == len(set(calls))
+    assert calls and emb.cache_info().misses == len(set(calls))
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +612,12 @@ def test_one_derivation_decides_each_embedding_once(monkeypatch):
 
 def test_invalid_terms_raise_on_every_call_and_are_never_cached():
     bad = Mix((Pt(Color.GENUS),), Color.PLANAR)
+    derive_table.cache_clear()
     for _ in range(2):
         with pytest.raises(ValidationError):
             derive_table(bad)
-    assert bad not in germs._derive_cache
+    info = derive_table.cache_info()
+    assert info.misses == 2 and info.currsize == 0
 
 
 def test_a_cached_table_is_returned_without_validating(monkeypatch):
@@ -624,8 +631,8 @@ def test_a_cached_table_is_returned_without_validating(monkeypatch):
 
 
 @pytest.mark.parametrize("normal_first", [False, True])
-def test_a_term_and_its_normal_form_share_one_table(monkeypatch, normal_first):
-    monkeypatch.setattr(germs, "_derive_cache", {})
+def test_a_term_and_its_normal_form_share_one_table(normal_first):
+    _clear_memos()
     term = parse_term("sum(sum(pt,pt),mix(ord(w),ord(w);g),pt)")
     normal = normalize_structural(term)
     assert normal != term
@@ -870,7 +877,7 @@ def test_rewriting_builds_no_table(monkeypatch):
         return inner(*args, **kw)
 
     monkeypatch.setattr(germs, "_table", counting)
-    monkeypatch.setattr(germs, "_derive_cache", {})
+    _clear_memos()
     term = _left_nested_mix(20)
     normalize(term)
     canon(term)
@@ -879,14 +886,19 @@ def test_rewriting_builds_no_table(monkeypatch):
 
 def test_one_derivation_collects_each_subterm_once(monkeypatch):
     calls = []
-    inner = germs._collect
+    classes = germs._classes
 
-    def counting(t, ctx, *rest):
+    def counting(t, ctx):
         calls.append((t, ctx))
-        return inner(t, ctx, *rest)
+        return classes(t, ctx)
 
-    monkeypatch.setattr(germs, "_collect", counting)
-    for cache in ("_class_cache", "_canon_cache", "_emb_cache", "_derive_cache"):
-        monkeypatch.setattr(germs, cache, {})
+    # the recursion inside `_classes` reads the module global, so it is counted too
+    monkeypatch.setattr(germs, "_classes", counting)
+    _clear_memos()
     derive_table(_left_nested_mix(20))
-    assert calls and len(calls) == len(set(calls))
+    assert calls and classes.cache_info().misses == len(set(calls))
+
+
+def test_every_memo_shares_one_bound():
+    for f in _MEMOS:
+        assert f.cache_info().maxsize == germs.MEMO_ENTRIES, f.__name__
