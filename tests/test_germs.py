@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -561,6 +562,7 @@ def test_memoized_emb_matches_the_recursion(t1, t2):
     found = [r.germ for t in (t1, t2) for r in derive_table(t).classes if r.germ is not None]
     pairs = [(s, t) for s in found for t in found]
     expected = [_ref_emb(s, t) for s, t in pairs]
+    assert [emb(s, t) for s, t in pairs] == expected  # the process-wide memo
     emb.cache_clear()
     assert [emb(s, t) for s, t in pairs] == expected  # cold
     assert [emb(s, t) for s, t in pairs] == expected  # warm
@@ -591,19 +593,33 @@ def _clear_memos():
         f.cache_clear()
 
 
-def test_one_derivation_decides_each_embedding_once(monkeypatch):
-    calls = []
+def _body_runs(memoized, run) -> list:
+    """The arguments of every run of the body behind `memoized` while `run()`
+    executes, however the body was reached."""
+    code = memoized.__wrapped__.__code__
+    names = code.co_varnames[: code.co_argcount]
+    runs = []
 
-    def counting(s, t):
-        calls.append((s, t))
-        return emb(s, t)
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            runs.append(tuple(frame.f_locals[n] for n in names))
 
-    # the recursion inside `emb` reads the module global, so it is counted too
-    monkeypatch.setattr(germs, "emb", counting)
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return runs
+
+
+def test_one_derivation_decides_each_embedding_once():
     _clear_memos()
     term = parse_term("mix(mix(mix(mix(cantor(pt),pt;g),ord(w);g),cantor^g(pt^g);g),pt;g)")
-    derive_table(term)
-    assert calls and emb.cache_info().misses == len(set(calls))
+    runs = _body_runs(emb, lambda: derive_table(term))
+    # no pair is decided twice, and every decision, the recursion's included,
+    # is a miss of the memo
+    assert runs and len(set(runs)) == len(runs) == emb.cache_info().misses
 
 
 # ---------------------------------------------------------------------------
@@ -884,19 +900,11 @@ def test_rewriting_builds_no_table(monkeypatch):
     assert built == []
 
 
-def test_one_derivation_collects_each_subterm_once(monkeypatch):
-    calls = []
-    classes = germs._classes
-
-    def counting(t, ctx):
-        calls.append((t, ctx))
-        return classes(t, ctx)
-
-    # the recursion inside `_classes` reads the module global, so it is counted too
-    monkeypatch.setattr(germs, "_classes", counting)
+def test_one_derivation_collects_each_subterm_once():
     _clear_memos()
-    derive_table(_left_nested_mix(20))
-    assert calls and classes.cache_info().misses == len(set(calls))
+    term = _left_nested_mix(20)
+    runs = _body_runs(germs._classes, lambda: derive_table(term))
+    assert runs and len(set(runs)) == len(runs) == germs._classes.cache_info().misses
 
 
 def test_every_memo_shares_one_bound():
