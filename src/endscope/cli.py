@@ -23,52 +23,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
-import random
 import sys
 
 from . import __version__
 from .examples_builtin import EXAMPLES, example
-from .germs import (
-    CANTOR,
-    GermTable,
-    UnknownClass,
-    derive_table,
-    from_json,
-    maximal_classes,
-    to_json,
-)
-from .normalize import normalize
-from .oracle import equiv_invariants
-from .parser import LexError, ParseError, parse
-from .stability import (
-    Brick,
-    DEFAULT_DEPTH,
-    NotTelescoping,
-    Stable,
-    annuli,
-    annuli_certificate,
-    check_annuli,
-    check_decomposition,
-    check_shift,
-    decomposition_certificate,
-    shift,
-    stable_nbhd,
-)
-from .swindle import anderson, em_check, slot_word
-from .terms import (
-    GenusMismatch,
-    SurfaceDescriptor,
-    Term,
-    ValidationError,
-    pretty,
-    pretty_surface,
-    surface_check,
-)
-from .verdict import constants as exponent_dag
-from .verdict import Verdict, stone_verdict, surface_verdict
+
+# Each command imports the engine modules it runs, inside its function: a
+# process runs one command, and `examples`, `constants` and `swindle` need
+# none of the germ engine.
 
 EXIT_USAGE = 64
 EXIT_INPUT = 65
@@ -88,6 +52,8 @@ class _CliError(Exception):
 
 
 def _depth() -> int:
+    from .stability import DEFAULT_DEPTH
+
     raw = os.environ.get("ENDSCOPE_DEPTH")
     if raw is None:
         return DEFAULT_DEPTH
@@ -114,10 +80,15 @@ def _read(path: str) -> str:
 
 def _load(text: str):
     """Parse input text into a Term, SurfaceDescriptor, or GermTable."""
+    from .parser import LexError, ParseError, parse
+    from .terms import ValidationError
+
     stripped = text.strip()
     if not stripped:
         raise _CliError("empty input", EXIT_INPUT)
     if stripped.startswith("{"):
+        from .germs import from_json
+
         try:
             return from_json(json.loads(stripped))
         except (json.JSONDecodeError, ValidationError, ValueError) as e:
@@ -131,10 +102,16 @@ def _load(text: str):
 
 
 def _is_surface(obj) -> bool:
+    from .germs import GermTable
+    from .terms import SurfaceDescriptor
+
     return isinstance(obj, SurfaceDescriptor) or (isinstance(obj, GermTable) and obj.surface)
 
 
-def _table_of(obj) -> GermTable:
+def _table_of(obj):
+    from .germs import GermTable, derive_table
+    from .terms import SurfaceDescriptor
+
     if isinstance(obj, GermTable):
         return obj
     if isinstance(obj, SurfaceDescriptor):
@@ -150,8 +127,10 @@ def _emit_json(doc) -> None:
 # reports
 
 
-def _class_entries(v: Verdict) -> list:
-    """One report row per class of the verdict's table."""
+def _class_entries(v) -> list:
+    """One report row per class of the verdict `v`'s table."""
+    from .germs import CANTOR, maximal_classes
+
     maximal = maximal_classes(v.table)
     out = []
     for r, tl, st in zip(v.table.classes, v.per_class, v.stability):
@@ -170,6 +149,12 @@ def _class_entries(v: Verdict) -> list:
 
 
 def _report(text: str, obj) -> dict:
+    import hashlib
+
+    from .normalize import normalize
+    from .terms import SurfaceDescriptor, Term, pretty, pretty_surface
+    from .verdict import stone_verdict, surface_verdict
+
     v = surface_verdict(obj) if _is_surface(obj) else stone_verdict(obj)
     if isinstance(obj, SurfaceDescriptor):
         normalized = pretty_surface(
@@ -223,7 +208,29 @@ def _print_text_report(report: dict) -> None:
 # subcommands
 
 
+def _reads_input(cmd):
+    """`cmd` with the engine's input errors (validation, unknown class ids)
+    made exit 65. Only the commands that read input load the modules that
+    define them."""
+
+    @functools.wraps(cmd)
+    def run_cmd(args) -> int:
+        from .germs import UnknownClass
+        from .terms import ValidationError
+
+        try:
+            return cmd(args)
+        except (ValidationError, UnknownClass) as e:
+            raise _CliError(str(e), EXIT_INPUT) from None
+
+    return run_cmd
+
+
+@_reads_input
 def _cmd_parse(args) -> int:
+    from .germs import to_json
+    from .terms import SurfaceDescriptor, Term, pretty, pretty_surface
+
     obj = _load(_read(args.file))
     if isinstance(obj, SurfaceDescriptor):
         print(pretty_surface(obj))
@@ -234,7 +241,11 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+@_reads_input
 def _cmd_normalize(args) -> int:
+    from .normalize import normalize
+    from .terms import SurfaceDescriptor, Term, pretty, pretty_surface
+
     obj = _load(_read(args.file))
     if isinstance(obj, SurfaceDescriptor):
         print(pretty_surface(SurfaceDescriptor(obj.genus, normalize(obj.ends))))
@@ -245,7 +256,11 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
+@_reads_input
 def _cmd_classify(args) -> int:
+    from .germs import to_json
+    from .terms import SurfaceDescriptor, surface_check
+
     obj = _load(_read(args.file))
     if isinstance(obj, SurfaceDescriptor):
         surface_check(obj.genus, obj.ends)
@@ -253,6 +268,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+@_reads_input
 def _cmd_verdict(args) -> int:
     text = _read(args.file)
     report = _report(text, _load(text))
@@ -264,6 +280,15 @@ def _cmd_verdict(args) -> int:
 
 
 def _certificate_for(obj, end: str) -> dict:
+    from .stability import (
+        NotTelescoping,
+        Stable,
+        annuli,
+        annuli_certificate,
+        decomposition_certificate,
+        stable_nbhd,
+    )
+
     if _is_surface(obj):
         try:
             return annuli_certificate(annuli(obj, end, depth=_depth()))
@@ -276,6 +301,19 @@ def _certificate_for(obj, end: str) -> dict:
 
 
 def _check_certificate(obj, end: str, cert: dict) -> list:
+    from .stability import (
+        NotTelescoping,
+        Stable,
+        annuli,
+        annuli_certificate,
+        check_annuli,
+        check_decomposition,
+        check_shift,
+        decomposition_certificate,
+        shift,
+        stable_nbhd,
+    )
+
     kind = cert.get("kind")
     if kind == "decomposition":
         res = stable_nbhd(_table_of(obj), end)
@@ -302,8 +340,10 @@ def _check_certificate(obj, end: str, cert: dict) -> list:
     return [f"unknown certificate kind: {kind!r}"]
 
 
-def _shift_brick(cert: dict) -> Brick:
+def _shift_brick(cert: dict):
     """The brick of a shift certificate; malformed ones are input errors."""
+    from .stability import Brick
+
     pieces = cert.get("pieces")
     if not (isinstance(pieces, list) and pieces and isinstance(pieces[0], dict)):
         raise _CliError("bad shift certificate: 'pieces' must hold one brick", EXIT_INPUT)
@@ -317,7 +357,10 @@ def _shift_brick(cert: dict) -> Brick:
         raise _CliError(f"bad shift certificate: {e}", EXIT_INPUT)
 
 
+@_reads_input
 def _cmd_certify(args) -> int:
+    from .terms import GenusMismatch, SurfaceDescriptor, surface_check
+
     obj = _load(_read(args.file))
     if isinstance(obj, SurfaceDescriptor):
         try:
@@ -345,6 +388,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_swindle(args) -> int:
+    import random
+
+    from .swindle import anderson, em_check, slot_word
+
     if args.letters < 1 or args.depth < 1:
         raise _CliError("--letters and --depth must be positive", EXIT_USAGE)
     if args.letters > MAX_SWINDLE_LETTERS:
@@ -386,7 +433,9 @@ def _cmd_swindle(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    dag = exponent_dag()
+    from .exponents import constants
+
+    dag = constants()
     for node in dag.nodes:
         value = dag.value(node.name)
         shown = "-" if value is None else str(value)
@@ -394,7 +443,11 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+@_reads_input
 def _cmd_oracle(args) -> int:
+    from .oracle import equiv_invariants
+    from .terms import Term
+
     if args.depth < 0:
         raise _CliError("--depth must not be negative", EXIT_USAGE)
     if args.depth > MAX_ORACLE_DEPTH:
@@ -494,10 +547,9 @@ def run(argv=None) -> int:
         return EXIT_USAGE if code not in (0, EXIT_USAGE) else code
     try:
         return args.func(args)
-    except (_CliError, ValidationError, UnknownClass) as e:
-        # the engine's input errors (validation, unknown class ids) are exit 65
+    except _CliError as e:
         print(f"endscope: {e}", file=sys.stderr)
-        return e.code if isinstance(e, _CliError) else EXIT_INPUT
+        return e.code
     except BrokenPipeError:
         return 0
 

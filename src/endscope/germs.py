@@ -31,9 +31,9 @@ listed relations are available and no family member is instantiated.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
+from . import _Frozen, _set
 from .normalize import _absorb_pass, fixpoint, normalize_structural
 from .ordinals import Cnf, ONE, ZERO, add, cmp, print_cnf
 from .parser import LexError, ParseError, parse_cnf
@@ -66,13 +66,23 @@ class NotGenusColored(ValueError):
 FAMILY_ID = "rank(*)"
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(_Frozen):
     """How many points of a class one region holds: `count`, countably many,
     or a Cantor set. `str` is the JSON spelling; `+` the kind of a union."""
 
-    name: str  # "finite" | "countable_discrete" | "cantor"
-    count: int = 0  # points of a finite kind
+    __slots__ = ("name", "count")
+
+    def __init__(self, name: str, count: int = 0):
+        _set(self, "name", name)  # "finite" | "countable_discrete" | "cantor"
+        _set(self, "count", count)  # points of a finite kind
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name and self.count == other.count
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.count))
 
     @property
     def is_finite(self) -> bool:
@@ -94,37 +104,108 @@ CANTOR = Kind("cantor")
 ONE_POINT = Kind("finite", 1)
 
 
-@dataclass(frozen=True)
-class GermClass:
-    id: str
-    kind: Kind
-    color: Color
-    germ: Term = None  # canonical germ term; None in user tables
-    rank: Cnf = None  # set for countable planar rank classes
-    family: bool = False
-    family_bound: Cnf = None  # exclusive bound for the symbolic family row
+class GermClass(_Frozen):
+    """One row of a table. `germ` is the canonical germ term (None in user
+    tables), `rank` is set for countable planar rank classes, and
+    `family_bound` is the exclusive bound of the symbolic family row."""
+
+    __slots__ = ("id", "kind", "color", "germ", "rank", "family", "family_bound")
+
+    def __init__(
+        self,
+        id: str,
+        kind: Kind,
+        color: Color,
+        germ: Term = None,
+        rank: Cnf = None,
+        family: bool = False,
+        family_bound: Cnf = None,
+    ):
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+        _set(self, "color", color)
+        _set(self, "germ", germ)
+        _set(self, "rank", rank)
+        _set(self, "family", family)
+        _set(self, "family_bound", family_bound)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.id, self.kind, self.color, self.germ, self.rank, self.family, self.family_bound
+            ) == (
+                other.id, other.kind, other.color, other.germ, other.rank, other.family,
+                other.family_bound,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.id, self.kind, self.color, self.germ, self.rank, self.family, self.family_bound)
+        )
 
 
-@dataclass(frozen=True)
-class Successor:
-    preds: tuple  # class ids, finite, maximal and covering
+class Successor(_Frozen):
+    __slots__ = ("preds",)
+
+    def __init__(self, preds: tuple):
+        _set(self, "preds", preds)  # class ids, finite, maximal and covering
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.preds == other.preds
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.preds,))
 
 
-@dataclass(frozen=True)
-class NotSuccessor:
-    reason: str = ""
+class NotSuccessor(_Frozen):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str = ""):
+        _set(self, "reason", reason)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.reason == other.reason
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.reason,))
 
 
 DERIVED = "derived-from-term"
 
 
-@dataclass(frozen=True)
-class GermTable:
-    classes: tuple  # GermClass rows, sorted by id
-    leq: frozenset  # pairs (y, x)
-    acc: frozenset  # pairs (z, x)
-    origin: str = DERIVED
-    surface: bool = False
+class GermTable(_Frozen):
+    """The classes of a space: `classes` holds the `GermClass` rows sorted by
+    id, `leq` the pairs (y, x) and `acc` the pairs (z, x). Its instances keep
+    a `__dict__`, where the cached properties below store their values."""
+
+    def __init__(
+        self,
+        classes: tuple,
+        leq: frozenset,
+        acc: frozenset,
+        origin: str = DERIVED,
+        surface: bool = False,
+    ):
+        _set(self, "classes", classes)
+        _set(self, "leq", leq)
+        _set(self, "acc", acc)
+        _set(self, "origin", origin)
+        _set(self, "surface", surface)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.classes, self.leq, self.acc, self.origin, self.surface) == (
+                other.classes, other.leq, other.acc, other.origin, other.surface
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.classes, self.leq, self.acc, self.origin, self.surface))
 
     @cached_property
     def position(self) -> dict:
@@ -177,15 +258,25 @@ class GermTable:
         return any(c.germ is not None for c in self.classes)
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(_Frozen):
     """The family member rank(b), b below the family bound, answering the row
     attributes as the rank row of germ Ord(b, 1) would."""
 
-    rank: Cnf
+    __slots__ = ("rank",)
     kind = COUNTABLE
     color = Color.PLANAR
     family = False
+
+    def __init__(self, rank: Cnf):
+        _set(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank,))
 
     @property
     def id(self) -> str:
@@ -300,14 +391,16 @@ def _cantor_sub(s: Term, t: Term) -> bool:
 # class collection
 
 
-@dataclass(frozen=True)
-class _Classes:
+class _Classes(_Frozen):
     """The point classes of a term in one context: kinds by rank and by
     canonical non-rank germ, and the exclusive family bound (None or >= w)."""
 
-    ranks: dict
-    germs: dict
-    bound: Cnf = None
+    __slots__ = ("ranks", "germs", "bound")
+
+    def __init__(self, ranks: dict, germs: dict, bound: Cnf = None):
+        _set(self, "ranks", ranks)
+        _set(self, "germs", germs)
+        _set(self, "bound", bound)
 
 
 def _union(sets) -> _Classes:
@@ -443,7 +536,15 @@ def _merge_mutual(rows: list, pairs: set) -> list:
             keep = out[target]
             if keep.kind != CANTOR and r.kind == CANTOR:
                 keep, r = r, keep
-            out[target] = replace(keep, kind=keep.kind + r.kind)
+            out[target] = GermClass(
+                keep.id,
+                keep.kind + r.kind,
+                keep.color,
+                keep.germ,
+                keep.rank,
+                keep.family,
+                keep.family_bound,
+            )
     return out
 
 

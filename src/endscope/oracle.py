@@ -15,8 +15,8 @@ groups converge to that node. Marks:
 A sample tree repeats a few subtrees many times, so the invariant bundles
 are folded over the term instead of read off a built tree: the facts of
 each distinct subtree are computed once and multiplied where the tree
-repeats them. `truncate` still builds the tree, for `tr_embeds` and
-`cb_bruteforce`, and the tests hold the fold to it.
+repeats them. Only the tests build the tree (`tests/oracle_ref.py`), and
+they hold the fold to it.
 
 A sample tree grows exponentially with the depth, so one truncation holds at
 most MAX_SAMPLE_NODES nodes; a larger one is a ValidationError naming the
@@ -28,48 +28,20 @@ is built or any depth compared, with work bounded by the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .ordinals import Cnf, fundamental
-from .terms import Cantor, Color, Mix, NotCountable, Ord, Pt, Sum, Term, ValidationError
+from .terms import Cantor, Color, Mix, Ord, Pt, Sum, Term, ValidationError
 
 MAX_SAMPLE_NODES = 250_000
 _PLANAR = frozenset((Color.PLANAR,))
 
 
-@dataclass
-class TrNode:
-    color: Color
-    mark: str  # "point" | "deep" | "dust"
-    groups: list = field(default_factory=list)  # list of lists of TrNode
-    # unexpanded nodes record what lives below the cut: every color present,
-    # the colors of isolated points, and whether Cantor dust occurs
-    hidden_colors: frozenset = frozenset()
-    hidden_iso: frozenset = frozenset()
-    hidden_dust: bool = False
-
-    @property
-    def children(self):
-        return [c for grp in self.groups for c in grp]
-
-
-@dataclass
-class Truncation:
-    depth: int
-    roots: list  # forest of TrNode
-
-
-def truncate(t: Term, depth: int) -> Truncation:
-    sample_nodes(t, depth)
-    return Truncation(depth, _forest(t, depth, {}))
-
-
 def sample_nodes(t: Term, depth: int, memo: dict | None = None) -> int:
-    """The number of nodes truncate(t, depth) builds, read off the fold
-    without building them. Past MAX_SAMPLE_NODES, a ValidationError naming
-    the maximum. The count grows with the depth, so a term within the budget
-    at one depth is within it at every smaller one. A `memo` passed in keeps
+    """The number of nodes of the depth-`depth` sample tree of t, read off
+    the fold without building them. Past MAX_SAMPLE_NODES, a ValidationError
+    naming the maximum. The count grows with the depth, so a term within the
+    budget at one depth is within it at every smaller one. A `memo` passed in keeps
     the folded facts for later `_fold` calls on the same term."""
     try:
         return _fold(t, depth, {} if memo is None else memo).nodes
@@ -88,39 +60,6 @@ def _within(n: int) -> int:
     if n > MAX_SAMPLE_NODES:
         raise _OverBudget
     return n
-
-
-def _forest(t: Term, d: int, memo: dict) -> list:
-    if isinstance(t, Pt):
-        return [TrNode(t.color, "point")]
-    if isinstance(t, Ord):
-        if t.rank.is_zero():
-            return [TrNode(Color.PLANAR, "point") for _ in range(t.degree)]
-        return [_ord_node(t.rank, d) for _ in range(t.degree)]
-    if isinstance(t, Mix):
-        if d > 0:
-            node = TrNode(t.limit_color, "point")
-        else:
-            colors, iso, dust = _hidden(t, memo)
-            node = TrNode(
-                t.limit_color,
-                "deep",
-                hidden_colors=colors,
-                hidden_iso=iso,
-                hidden_dust=dust,
-            )
-        distinct = _distinct(t.components)
-        for _ in range(d):
-            node.groups.append(
-                [n for c in distinct for n in _forest(c, d - 1, memo)]
-            )
-        return [node]
-    if isinstance(t, Cantor):
-        return [_cantor_node(_distinct(t.components), t.color, d, memo)]
-    out = []
-    for p in t.parts:
-        out.extend(_forest(p, d, memo))
-    return out
 
 
 def _hidden(t: Term, memo: dict) -> tuple:
@@ -154,81 +93,6 @@ def _distinct(comps):
         if c not in seen:
             seen.add(c)
             out.append(c)
-    return out
-
-
-def _ord_node(rank: Cnf, budget: int) -> TrNode:
-    """A point of the given rank together with a sampled neighborhood."""
-    if rank.is_zero():
-        return TrNode(Color.PLANAR, "point")
-    if budget <= 0:
-        return TrNode(
-            Color.PLANAR, "deep", hidden_colors=_PLANAR, hidden_iso=_PLANAR
-        )
-    node = TrNode(Color.PLANAR, "point")
-    for k in range(1, budget + 1):
-        below = rank.pred() if rank.is_successor() else fundamental(rank, k)
-        node.groups.append([_ord_node(below, budget - 1)])
-    return node
-
-
-def _cantor_node(distinct_comps, color: Color, d: int, memo: dict) -> TrNode:
-    if d <= 0:
-        hidden = [_hidden(c, memo) for c in distinct_comps]
-        return TrNode(
-            color,
-            "dust",
-            hidden_colors=frozenset((color,)).union(*(h[0] for h in hidden)),
-            hidden_iso=frozenset().union(*(h[1] for h in hidden)),
-        )
-    node = TrNode(color, "dust")
-    if d > 0:
-        node.groups.append([_cantor_node(distinct_comps, color, d - 1, memo)])
-        node.groups.append([_cantor_node(distinct_comps, color, d - 1, memo)])
-        node.groups.append(
-            [n for c in distinct_comps for n in _forest(c, d - 1, memo)]
-        )
-    return node
-
-
-# ---------------------------------------------------------------------------
-# Cantor-Bendixson brute force
-
-
-def cb_bruteforce(tr: Truncation) -> list:
-    """Repeatedly delete isolated sample points; return surviving counts.
-
-    The initial count is included; the run stops at 0 or when only opaque
-    nodes survive. The truncation is pruned in place.
-    """
-    return _cb_counts(_flatten(tr.roots))
-
-
-def _cb_counts(alive: list) -> list:
-    if any(n.mark == "dust" for n in alive):
-        raise NotCountable("truncation contains Cantor dust")
-    counts = [len(alive)]
-    while alive:
-        # a point is isolated at this stage once all its children are gone
-        removed = {id(n) for n in alive if n.mark == "point" and not any(n.groups)}
-        if not removed:
-            break  # stalled on deep markers
-        # prune deleted children from survivors
-        alive = [n for n in alive if id(n) not in removed]
-        for n in alive:
-            n.groups = [[c for c in grp if id(c) not in removed] for grp in n.groups]
-        counts.append(len(alive))
-    return counts
-
-
-def _flatten(roots) -> list:
-    out = []
-    stack = list(roots)
-    while stack:
-        n = stack.pop()
-        out.append(n)
-        for grp in n.groups:
-            stack.extend(grp)
     return out
 
 
@@ -327,9 +191,10 @@ _ORD_DEEP = _node(Color.PLANAR, "deep", _NONE, (_PLANAR, _PLANAR, False))
 
 
 def _fold(t: Term, d: int, memo: dict) -> _Facts:
-    """The facts of `_forest(t, d)`, without building it. `memo` holds the
-    facts of every distinct (subterm, depth), (rank, budget) and (Cantor
-    components, color, depth) of one `bundle` or `equiv_invariants` call,
+    """The facts of the depth-d sample forest of t, without building it (the
+    tests' `oracle_ref._forest` builds it). `memo` holds the facts of every
+    distinct (subterm, depth), (rank, budget) and (Cantor components, color,
+    depth) of one `equiv_invariants` call,
     and `_hidden`'s answers. Children are folded in loops, one frame per
     level of the term, so the deepest inputs stay within the recursion
     limit."""
@@ -360,7 +225,8 @@ def _fold(t: Term, d: int, memo: dict) -> _Facts:
 
 
 def _fold_ord(rank: Cnf, budget: int, memo: dict) -> _Facts:
-    """The facts of `_ord_node(rank, budget)`."""
+    """The facts of the sample tree of a point of rank `rank` with its
+    neighborhood sampled `budget` levels deep."""
     if rank.is_zero():
         return _ORD_POINT
     if budget <= 0:
@@ -381,7 +247,8 @@ def _fold_ord(rank: Cnf, budget: int, memo: dict) -> _Facts:
 
 
 def _fold_cantor(distinct_comps: tuple, color: Color, d: int, memo: dict) -> _Facts:
-    """The facts of `_cantor_node(distinct_comps, color, d)`."""
+    """The facts of the depth-d sample tree of a Cantor node of `color` with
+    the gap insertions `distinct_comps`."""
     key = (distinct_comps, color, d)
     f = memo.get(key)
     if f is not None:
@@ -398,14 +265,6 @@ def _fold_cantor(distinct_comps: tuple, color: Color, d: int, memo: dict) -> _Fa
         f = _node(color, "dust", below)
     memo[key] = f
     return f
-
-
-def bundle(t: Term, depth: int) -> dict:
-    """Robust invariants of the depth-`depth` truncation of t."""
-    memo = {}
-    sample_nodes(t, depth, memo)
-    iso_prev = _bundle(_fold(t, depth - 1, memo), None)[1] if depth >= 1 else None
-    return _bundle(_fold(t, depth, memo), iso_prev)[0]
 
 
 def _bundle(f: _Facts, iso_prev):
@@ -513,61 +372,3 @@ def _derivative_mismatch(ba: dict, bb: dict):
     if (da["rounds"], da["final_nonzero"]) != (db["rounds"], db["final_nonzero"]):
         return f"{da!r} vs {db!r}"
     return None
-
-
-# ---------------------------------------------------------------------------
-# truncation-level clopen-embedding check (second opinion for the preorder)
-
-
-def tr_embeds(a: Term, b: Term, depth: int) -> bool:
-    """Whether the depth-truncation of a fits into that of b as sample trees."""
-    fa = truncate(a, depth).roots
-    fb = truncate(b, depth).roots
-    return _fit_forest(fa, fb)
-
-
-def _fit_forest(fa, fb) -> bool:
-    # every root of fa must fit somewhere in fb's forest (subtrees reusable:
-    # the target regions repeat, so multiplicity is not an obstruction)
-    candidates = []
-    for r in fb:
-        candidates.extend(_subtrees(r))
-    return all(any(_fits(x, y) for y in candidates) for x in fa)
-
-
-def _subtrees(node):
-    out = [node]
-    for c in node.children:
-        out.extend(_subtrees(c))
-    return out
-
-
-def _fits(x: TrNode, y: TrNode) -> bool:
-    if x.color != y.color:
-        return False
-    if x.mark == "dust":
-        return y.mark == "dust"
-    if y.mark == "dust":
-        # a convergence point can sit at a dust sample when its sampled
-        # neighborhood fits among the dust node's gap insertions
-        return bool(x.groups) and _fit_forest(x.children, _subtrees_below(y))
-    if y.mark == "deep":
-        return x.mark != "dust"  # unexpanded countable region: permissive
-    if x.mark == "deep":
-        return bool(y.groups) or y.mark == "deep"
-    if not x.groups:
-        return not y.groups or _has_isolated_below(y)
-    return _fit_forest(x.children, _subtrees_below(y))
-
-
-def _subtrees_below(node):
-    out = []
-    for c in node.children:
-        out.extend(_subtrees(c))
-    return out
-
-
-def _has_isolated_below(node) -> bool:
-    return any(
-        n.mark == "point" and not n.children for n in _subtrees_below(node)
-    )

@@ -7,8 +7,9 @@ The empty sum is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import total_ordering
+
+from . import _Frozen, _set
 
 
 class OrdinalError(ArithmeticError):
@@ -16,17 +17,29 @@ class OrdinalError(ArithmeticError):
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class Cnf:
+class Cnf(_Frozen):
     """Ordinal in Cantor normal form: tuple of (exponent, coefficient) pairs.
 
-    Immutable, so the hash (that of the generated dataclass `__hash__`) is
-    computed once, when the ordinal is built, and the rendering of
-    `print_cnf` the first time it is asked for."""
+    Immutable, so the hash is computed once, when the ordinal is built, and
+    the rendering of `print_cnf` the first time it is asked for. The hash is
+    hash((summands,)), that of the tuple of compared fields: the order of
+    sets and dicts of ordinals, which reaches the output, follows it."""
 
-    summands: tuple = ()
-    _hash: int = field(init=False, repr=False, compare=False)
-    _text: str = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("summands", "_hash", "_text")
+
+    def __init__(self, summands: tuple = ()):
+        for exp, coeff in summands:
+            if not isinstance(exp, Cnf):
+                raise OrdinalError("exponent must be a Cnf")
+            if not isinstance(coeff, int) or coeff < 1:
+                raise OrdinalError("coefficient must be a positive integer")
+        exps = [exp for exp, _ in summands]
+        for a, b in zip(exps, exps[1:]):
+            if cmp(a, b) <= 0:
+                raise OrdinalError("exponents must be strictly decreasing")
+        _set(self, "summands", summands)
+        _set(self, "_hash", hash((summands,)))
+        _set(self, "_text", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -40,18 +53,6 @@ class Cnf:
         if not isinstance(other, Cnf):
             return NotImplemented
         return self._hash == other._hash and cmp(self, other) == 0
-
-    def __post_init__(self):
-        for exp, coeff in self.summands:
-            if not isinstance(exp, Cnf):
-                raise OrdinalError("exponent must be a Cnf")
-            if not isinstance(coeff, int) or coeff < 1:
-                raise OrdinalError("coefficient must be a positive integer")
-        exps = [exp for exp, _ in self.summands]
-        for a, b in zip(exps, exps[1:]):
-            if cmp(a, b) <= 0:
-                raise OrdinalError("exponents must be strictly decreasing")
-        object.__setattr__(self, "_hash", hash((self.summands,)))
 
     # -- predicates ------------------------------------------------------
 
@@ -186,7 +187,7 @@ def print_cnf(a: Cnf) -> str:
     text = a._text
     if text is None:
         text = _render(a)
-        object.__setattr__(a, "_text", text)
+        _set(a, "_text", text)
     return text
 
 

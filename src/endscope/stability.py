@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
+from . import _Frozen, _set
 from .germs import (
     GermTable,
     canon,
@@ -50,12 +50,24 @@ DEFAULT_DEPTH = 20
 # decompositions
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    basepoint: str
-    shape: str  # "degenerate" | "rounds" | "shells" | "rank-blocks"
-    germ: Term  # neighborhood type U of the basepoint (None for degenerate Pt)
-    rank: Cnf = None  # for rank-blocks
+class Decomposition(_Frozen):
+    __slots__ = ("basepoint", "shape", "germ", "rank")
+
+    def __init__(self, basepoint: str, shape: str, germ: Term, rank: Cnf = None):
+        _set(self, "basepoint", basepoint)
+        _set(self, "shape", shape)  # "degenerate" | "rounds" | "shells" | "rank-blocks"
+        _set(self, "germ", germ)  # neighborhood type U of the basepoint (None for degenerate Pt)
+        _set(self, "rank", rank)  # for rank-blocks
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.basepoint, self.shape, self.germ, self.rank) == (
+                other.basepoint, other.shape, other.germ, other.rank
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.basepoint, self.shape, self.germ, self.rank))
 
     def piece(self, k: int):
         """Term of the k-th clopen piece Y_k (1-based); None when degenerate."""
@@ -74,19 +86,41 @@ class Decomposition:
         return Ord(below, 1)
 
 
-@dataclass(frozen=True)
-class Stable:
-    decomposition: Decomposition
+class Stable(_Frozen):
+    __slots__ = ("decomposition",)
+
+    def __init__(self, decomposition: Decomposition):
+        _set(self, "decomposition", decomposition)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.decomposition == other.decomposition
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.decomposition,))
 
 
-@dataclass(frozen=True)
-class Unstable:
-    obstruction: str
+# `certify` prints the repr of an `Unstable` or `Unknown` result when it
+# refuses a class
+class Unstable(_Frozen):
+    __slots__ = ("obstruction",)
+
+    def __init__(self, obstruction: str):
+        _set(self, "obstruction", obstruction)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(obstruction={self.obstruction!r})"
 
 
-@dataclass(frozen=True)
-class Unknown:
-    note: str = ""
+class Unknown(_Frozen):
+    __slots__ = ("note",)
+
+    def __init__(self, note: str = ""):
+        _set(self, "note", note)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(note={self.note!r})"
 
 
 def stable_nbhd(table: GermTable, x: str):
@@ -189,20 +223,28 @@ def _check_reassembly(dec: Decomposition, picks: list) -> list:
 # bricks and shifts
 
 
-@dataclass(frozen=True)
-class Brick:
+class Brick(_Frozen):
     """Infinite, co-infinite index set as an eventually periodic word."""
 
-    prefix: tuple = ()
-    period: tuple = (1, 0)
+    __slots__ = ("prefix", "period")
 
-    def __post_init__(self):
-        if not self.period or any(b not in (0, 1) for b in self.prefix + self.period):
+    def __init__(self, prefix: tuple = (), period: tuple = (1, 0)):
+        if not period or any(b not in (0, 1) for b in prefix + period):
             raise ValueError("characteristic word must be bits with a nonempty period")
-        if 1 not in self.period:
+        if 1 not in period:
             raise ValueError("index set must be infinite")
-        if 0 not in self.period:
+        if 0 not in period:
             raise ValueError("complement must be infinite")
+        _set(self, "prefix", prefix)
+        _set(self, "period", period)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.prefix, self.period) == (other.prefix, other.period)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.prefix, self.period))
 
     def member(self, i: int) -> bool:
         if i < len(self.prefix):
@@ -251,9 +293,11 @@ def _u_of_row(r: int) -> int:
     return 2 * (r - 1) if r > 0 else 2 * (-r - 1) + 1
 
 
-@dataclass(frozen=True)
-class ShiftRecipe:
-    brick: Brick
+class ShiftRecipe(_Frozen):
+    __slots__ = ("brick",)
+
+    def __init__(self, brick: Brick):
+        _set(self, "brick", brick)
 
     def coords(self, x: int):
         """Position (row, column) of index x; the brick occupies row 0."""
@@ -306,19 +350,23 @@ def check_shift(recipe: ShiftRecipe, depth: int = DEFAULT_DEPTH) -> list:
 # annulus decompositions for telescoping ends
 
 
-@dataclass(frozen=True)
-class Annulus:
-    index: int
-    contents: tuple  # germ class ids present in the annulus
-    genus: bool
-    term: Term = None  # end-space content; None for empty annuli
+class Annulus(_Frozen):
+    __slots__ = ("index", "contents", "genus", "term")
+
+    def __init__(self, index: int, contents: tuple, genus: bool, term: Term = None):
+        _set(self, "index", index)
+        _set(self, "contents", contents)  # germ class ids present in the annulus
+        _set(self, "genus", genus)
+        _set(self, "term", term)  # end-space content; None for empty annuli
 
 
-@dataclass(frozen=True)
-class AnnulusDecomposition:
-    basepoint: str
-    case: str  # telescoping case that produced the decomposition
-    annuli: tuple
+class AnnulusDecomposition(_Frozen):
+    __slots__ = ("basepoint", "case", "annuli")
+
+    def __init__(self, basepoint: str, case: str, annuli: tuple):
+        _set(self, "basepoint", basepoint)
+        _set(self, "case", case)  # telescoping case that produced the decomposition
+        _set(self, "annuli", annuli)
 
 
 def annuli(s, x: str, depth: int = DEFAULT_DEPTH) -> AnnulusDecomposition:

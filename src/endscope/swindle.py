@@ -21,8 +21,9 @@ Contents:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+
+from . import _Frozen, _set
 
 
 class BadSupport(ValueError):
@@ -67,14 +68,23 @@ def word_inv(w) -> tuple:
 # slot words
 
 
-@dataclass(frozen=True)
-class SlotWord:
+class SlotWord(_Frozen):
     """A finite assignment of reduced words to integer slots.
 
-    Unassigned slots carry the identity.
+    Unassigned slots carry the identity. Its instances keep a `__dict__`,
+    where `_words` stores its value.
     """
 
-    assignment: tuple  # sorted tuple of (slot, word) pairs, words nonempty
+    def __init__(self, assignment: tuple):
+        _set(self, "assignment", assignment)  # sorted tuple of (slot, word) pairs, words nonempty
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.assignment == other.assignment
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.assignment,))
 
     @cached_property
     def _words(self) -> dict:
@@ -115,10 +125,12 @@ def sw_mul(a: SlotWord, b: SlotWord) -> SlotWord:
 # elements with a constant shift (permutation part s -> s + k)
 
 
-@dataclass(frozen=True)
-class _ShiftElem:
-    shift: int
-    words: SlotWord
+class _ShiftElem(_Frozen):
+    __slots__ = ("shift", "words")
+
+    def __init__(self, shift: int, words: SlotWord):
+        _set(self, "shift", shift)
+        _set(self, "words", words)
 
 
 def _e_mul(a: _ShiftElem, b: _ShiftElem) -> _ShiftElem:
@@ -219,13 +231,15 @@ def commutator_from_alternating(f: SlotWord, split, conj):
 # the interleaved layout
 
 
-@dataclass(frozen=True)
-class SlotLayout:
+class SlotLayout(_Frozen):
     """An ordered slot list: red slots, blue blocks, and the separator slots
     between them, which are in neither."""
 
-    red: tuple  # slot indices of the red letters, in order
-    blue_blocks: tuple  # (inverse-half slots, positive-half slots) per block
+    __slots__ = ("red", "blue_blocks")
+
+    def __init__(self, red: tuple, blue_blocks: tuple):
+        _set(self, "red", red)  # slot indices of the red letters, in order
+        _set(self, "blue_blocks", blue_blocks)  # (inverse-half slots, positive-half slots) per block
 
     def separators_ok(self) -> bool:
         groups = self.red + tuple(

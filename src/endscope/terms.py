@@ -25,9 +25,9 @@ stored value and never walk the term.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Union
 
+from . import _Frozen, _set
 from .ordinals import Cnf, ZERO, add, cmp, from_nat, mul_nat, omega_pow
 
 
@@ -59,13 +59,15 @@ class NotAllPlanar(ValueError):
 # constructor, from its own fields and its children's facts: the hash, the size,
 # the colors (a mask of `_BIT` values), whether it is countable and whether it
 # is perfect. Its rendering is computed the first time `pretty` asks. The hash
-# is the one the generated dataclass `__hash__` gives, hash(tuple of fields), so
-# the order of sets and dicts of terms does not change.
+# is hash(tuple of compared fields): the order of sets and dicts of terms,
+# which reaches the output, follows it. Equality is that of the field tuples
+# among terms of one class; `Mix`, `Cantor` and `Sum` compare the stored hashes
+# first, so two unequal trees mostly differ at their roots.
 _BIT = {Color.PLANAR: 1, Color.GENUS: 2}
 _COLOR_SETS = tuple(frozenset(c for c in Color if mask & _BIT[c]) for mask in range(4))
 
 
-class _Node:
+class _Node(_Frozen):
     __slots__ = ("_hash", "_size", "_text", "_colors", "_countable", "_perfect")
 
     def _seal(self, fields: tuple, kids=(), colors=0, countable=True, perfect=True):
@@ -75,7 +77,7 @@ class _Node:
             colors |= k._colors
             countable = countable and k._countable
             perfect = perfect and k._perfect
-        set_ = object.__setattr__
+        set_ = _set
         set_(self, "_hash", hash(fields))
         set_(self, "_size", size)
         set_(self, "_text", None)
@@ -83,65 +85,117 @@ class _Node:
         set_(self, "_countable", countable)
         set_(self, "_perfect", perfect)
 
-    # each subclass names it again: `dataclass(frozen=True)` generates a
-    # `__hash__` for any class whose own body does not define one
+    # each subclass names it again: a class body that defines `__eq__` and no
+    # `__hash__` makes its instances unhashable
     def __hash__(self) -> int:
         return self._hash
 
 
-@dataclass(frozen=True, slots=True)
 class Pt(_Node):
-    color: Color = Color.PLANAR
+    __slots__ = ("color",)
 
-    def __post_init__(self):
-        self._seal((self.color,), colors=_BIT[self.color], perfect=False)
+    def __init__(self, color: Color = Color.PLANAR):
+        _set(self, "color", color)
+        self._seal((color,), colors=_BIT[color], perfect=False)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.color == other.color
+        return NotImplemented
 
     __hash__ = _Node.__hash__
 
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(color={self.color!r})"
 
-@dataclass(frozen=True, slots=True)
+
 class Ord(_Node):
-    rank: Cnf
-    degree: int
+    __slots__ = ("rank", "degree")
 
-    def __post_init__(self):
-        self._seal((self.rank, self.degree), colors=_BIT[Color.PLANAR], perfect=False)
+    def __init__(self, rank: Cnf, degree: int):
+        _set(self, "rank", rank)
+        _set(self, "degree", degree)
+        self._seal((rank, degree), colors=_BIT[Color.PLANAR], perfect=False)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rank == other.rank and self.degree == other.degree
+        return NotImplemented
 
     __hash__ = _Node.__hash__
 
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(rank={self.rank!r}, degree={self.degree!r})"
 
-@dataclass(frozen=True, slots=True)
+
 class Mix(_Node):
-    components: tuple
-    limit_color: Color
+    __slots__ = ("components", "limit_color")
 
-    def __post_init__(self):
-        fields = (self.components, self.limit_color)
-        self._seal(fields, self.components, _BIT[self.limit_color])
+    def __init__(self, components: tuple, limit_color: Color):
+        _set(self, "components", components)
+        _set(self, "limit_color", limit_color)
+        self._seal((components, limit_color), components, _BIT[limit_color])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self._hash == other._hash
+                and self.components == other.components
+                and self.limit_color == other.limit_color
+            )
+        return NotImplemented
 
     __hash__ = _Node.__hash__
 
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(components={self.components!r}, "
+            f"limit_color={self.limit_color!r})"
+        )
 
-@dataclass(frozen=True, slots=True)
+
 class Cantor(_Node):
-    components: tuple = ()
-    color: Color = Color.PLANAR
+    __slots__ = ("components", "color")
 
-    def __post_init__(self):
-        fields = (self.components, self.color)
-        self._seal(fields, self.components, _BIT[self.color], countable=False)
+    def __init__(self, components: tuple = (), color: Color = Color.PLANAR):
+        _set(self, "components", components)
+        _set(self, "color", color)
+        self._seal((components, color), components, _BIT[color], countable=False)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self._hash == other._hash
+                and self.components == other.components
+                and self.color == other.color
+            )
+        return NotImplemented
 
     __hash__ = _Node.__hash__
 
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(components={self.components!r}, "
+            f"color={self.color!r})"
+        )
 
-@dataclass(frozen=True, slots=True)
+
 class Sum(_Node):
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        self._seal((self.parts,), self.parts)
+    def __init__(self, parts: tuple):
+        _set(self, "parts", parts)
+        self._seal((parts,), parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._hash == other._hash and self.parts == other.parts
+        return NotImplemented
 
     __hash__ = _Node.__hash__
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(parts={self.parts!r})"
 
 
 Term = Union[Pt, Ord, Mix, Cantor, Sum]
@@ -149,10 +203,20 @@ Term = Union[Pt, Ord, Mix, Cantor, Sum]
 INF = "inf"
 
 
-@dataclass(frozen=True)
-class SurfaceDescriptor:
-    genus: object  # natural number or INF
-    ends: Term
+class SurfaceDescriptor(_Frozen):
+    __slots__ = ("genus", "ends")
+
+    def __init__(self, genus, ends: Term):
+        _set(self, "genus", genus)  # natural number or INF
+        _set(self, "ends", ends)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.genus == other.genus and self.ends == other.ends
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.genus, self.ends))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +232,7 @@ def pretty(t: Term) -> str:
     text = t._text
     if text is None:
         text = _render(t)
-        object.__setattr__(t, "_text", text)
+        _set(t, "_text", text)
     return text
 
 

@@ -19,8 +19,7 @@ genus-isolation clause (it constrains genus-colored ends only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from . import _Frozen, _set
 from .germs import (
     CANTOR,
     GermTable,
@@ -56,27 +55,50 @@ WITNESSES = {
 }
 
 
-@dataclass(frozen=True)
-class TelescopingResult:
-    id: str
-    status: str  # "telescoping" | "not_telescoping"
-    case: str = None  # "i" | "ii" | "iii"
-    failure: str = None  # "F1" | "F2" | "F3"
+class TelescopingResult(_Frozen):
+    __slots__ = ("id", "status", "case", "failure")
+
+    def __init__(self, id: str, status: str, case: str = None, failure: str = None):
+        _set(self, "id", id)
+        _set(self, "status", status)  # "telescoping" | "not_telescoping"
+        _set(self, "case", case)  # "i" | "ii" | "iii"
+        _set(self, "failure", failure)  # "F1" | "F2" | "F3"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.id, self.status, self.case, self.failure) == (
+                other.id, other.status, other.case, other.failure
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.status, self.case, self.failure))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Frozen):
     """The verdict, with the facts behind it: `per_class` holds the telescoping
     result and `stability` the `stable_nbhd` result of each row of `table`,
-    in table order. `table` and `stability` are neither compared nor shown."""
+    in table order."""
 
-    ac: str  # "holds" | "fails" | "unknown"
-    basis: str
-    per_class: tuple
-    witness: str = None
-    notes: tuple = (CASE_NOTE, EQUIV_NOTE)
-    table: GermTable = field(default=None, compare=False, repr=False)
-    stability: tuple = field(default=None, compare=False, repr=False)
+    __slots__ = ("ac", "basis", "per_class", "witness", "notes", "table", "stability")
+
+    def __init__(
+        self,
+        ac: str,
+        basis: str,
+        per_class: tuple,
+        witness: str = None,
+        notes: tuple = (CASE_NOTE, EQUIV_NOTE),
+        table: GermTable = None,
+        stability: tuple = None,
+    ):
+        _set(self, "ac", ac)  # "holds" | "fails" | "unknown"
+        _set(self, "basis", basis)
+        _set(self, "per_class", per_class)
+        _set(self, "witness", witness)
+        _set(self, "notes", notes)
+        _set(self, "table", table)
+        _set(self, "stability", stability)
 
 
 def telescoping(table: GermTable, x: str, surface_context: bool = True) -> TelescopingResult:
@@ -187,127 +209,3 @@ def _sufficiency_witness(table: GermTable) -> str:
         if family_accumulates(table, r.id):
             hits.append("F3")
     return _witness(hits)
-
-
-# ---------------------------------------------------------------------------
-# exponent DAG
-
-
-@dataclass(frozen=True)
-class DagNode:
-    name: str
-    deps: tuple
-    compute: object  # callable over dep values, or None for proof-only nodes
-    note: str
-
-
-@dataclass(frozen=True)
-class ExponentDag:
-    nodes: tuple
-    values: dict
-
-    def value(self, name: str):
-        return self.values[name]
-
-
-_DAG_SPEC = [
-    ("w2-step", (), lambda: 2, "one symmetric-set doubling step"),
-    ("baire-category", (), None, "a translate of W is non-meager"),
-    (
-        "diagonal2",
-        ("w2-step",),
-        lambda a: 4 * a,
-        "diagonal argument over pointwise-convergent products",
-    ),
-    (
-        "conjugated-finite-part",
-        ("w2-step", "diagonal2"),
-        lambda a, b: a + b + a,
-        "finite part conjugated into the brick",
-    ),
-    (
-        "F-product",
-        ("conjugated-finite-part", "diagonal2"),
-        lambda a, b: a + b,
-        "product with the diagonal remainder",
-    ),
-    (
-        "pigeonhole",
-        ("w2-step", "F-product"),
-        lambda a, b: a + b + a,
-        "pigeonhole over countably many translates; brick-supported maps",
-    ),
-    (
-        "diagonal-cover",
-        (),
-        None,
-        "countable cover refined along a descending brick chain",
-    ),
-    (
-        "globalpointed",
-        ("pigeonhole",),
-        lambda a: 4 * a,
-        "pointwise-stabilizing subgroup of a stable Stone space",
-    ),
-    (
-        "surface-third",
-        ("conjugated-finite-part",),
-        lambda a: 3 * a,
-        "third-power step for big-annulus supports",
-    ),
-    (
-        "surface-brick",
-        ("surface-third",),
-        lambda a: 2 * a,
-        "maps supported on a surface brick",
-    ),
-    (
-        "globalpointedS",
-        ("surface-brick",),
-        lambda a: 4 * a,
-        "pointwise-stabilizing subgroup over a stable surface neighborhood",
-    ),
-    (
-        "inductive-step",
-        (),
-        None,
-        "induction over the finitely many maximal classes",
-    ),
-    (
-        "fragmentation-triple",
-        ("globalpointedS",),
-        lambda a: 3 * a,
-        "three-way fragmentation across annulus bricks",
-    ),
-    (
-        "final-surface",
-        ("globalpointedS",),
-        lambda a: 17 * a,
-        "seventeen-fold composition closing the surface case",
-    ),
-]
-
-REQUIRED_CONSTANTS = {
-    "diagonal2": 8,
-    "conjugated-finite-part": 12,
-    "F-product": 20,
-    "pigeonhole": 24,
-    "globalpointed": 96,
-    "surface-third": 36,
-    "surface-brick": 72,
-    "globalpointedS": 288,
-    "fragmentation-triple": 864,
-    "final-surface": 4896,
-}
-
-
-def constants() -> ExponentDag:
-    nodes = []
-    values = {}
-    for name, deps, compute, note in _DAG_SPEC:
-        nodes.append(DagNode(name, deps, compute, note))
-        if compute is None:
-            values[name] = None
-        else:
-            values[name] = compute(*(values[d] for d in deps))
-    return ExponentDag(tuple(nodes), values)

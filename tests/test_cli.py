@@ -268,11 +268,11 @@ def test_oracle_depth_has_a_maximum(capsys):
 
 
 def test_oracle_sample_trees_have_a_maximum(capsys, monkeypatch):
-    def build(*args):
-        raise AssertionError("a sample tree was built or a depth compared before the refusal")
+    def compare(*args):
+        raise AssertionError("a depth was compared before the refusal")
 
-    for name in ("_forest", "_bundle"):  # refused before any depth runs
-        monkeypatch.setattr(oracle, name, build)
+    # refused before any depth is compared; the package builds no sample tree
+    monkeypatch.setattr(oracle, "_bundle", compare)
     nodes = []
     node = oracle._node
 
@@ -533,6 +533,47 @@ def test_a_leaf_module_loads_no_other_endscope_module(module):
     proc = _python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(["endscope", f"endscope.{module}"])
+
+
+# each subcommand once, in a fresh interpreter, and the modules it loaded
+_COMMANDS = {
+    "parse": ["parse", "{mona-lisa}"],
+    "normalize": ["normalize", "{mona-lisa}"],
+    "classify": ["classify", "{mona-lisa}"],
+    "verdict": ["verdict", "{mona-lisa}"],
+    "verdict-json": ["verdict", "{mona-lisa}", "--format", "json"],
+    "certify": ["certify", "{mona-lisa}", "--end", "cantor()"],
+    "swindle": ["swindle", "--letters", "2", "--depth", "3"],
+    "constants": ["constants"],
+    "oracle": ["oracle", "--compare", "pt", "pt"],
+    "examples": ["examples", "mona-lisa"],
+}
+
+
+def _modules_loaded(argv: list) -> set:
+    code = ("import sys; from endscope.cli import run; code = run(sys.argv[1:]); "
+            "print(); print(code, *sorted(sys.modules))")
+    proc = _python(["-c", code, *argv])
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stdout
+    return set(modules)
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path):
+    path = _write(tmp_path, "mona-lisa", EXAMPLES["mona-lisa"])
+    loaded = {
+        name: _modules_loaded([a.replace("{mona-lisa}", path) for a in argv])
+        for name, argv in _COMMANDS.items()
+    }
+    engine = {"endscope.germs", "endscope.stability", "endscope.verdict", "endscope.oracle"}
+    for name, modules in loaded.items():
+        # the dataclass machinery costs a cold command a third of its time
+        assert not modules & {"dataclasses", "inspect"}, name
+        if name in ("examples", "constants", "swindle"):
+            assert not modules & engine, name
+        # `verdict` prints its input's hash in either format
+        assert ("hashlib" in modules) == name.startswith("verdict"), name
 
 
 def _classes(**colors):

@@ -2,7 +2,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -481,7 +480,8 @@ def _two_pass_derive(term) -> GermTable:
         keep = merged[target]
         if keep.kind != CANTOR and r.kind == CANTOR:
             keep, r = r, keep
-        merged[target] = replace(keep, kind=keep.kind + r.kind)
+        merged[target] = GermClass(keep.id, keep.kind + r.kind, keep.color, keep.germ,
+                                   keep.rank, keep.family, keep.family_bound)
     leq = {(a.id, b.id) for a in merged for b in merged if _row_leq(a, b, bound)}
     return _table(merged, leq, _acc_pairs(merged, bound))
 
@@ -571,8 +571,9 @@ def test_memoized_emb_matches_the_recursion(t1, t2):
 def _rank_rows(b: Cnf, label: str) -> list:
     """Rank b as a derived rank row, as a `Member`, and as a row whose id is
     `label`, so that equal ranks meet under different ids too."""
-    row = GermClass(f"rank({print_cnf(b)})", COUNTABLE, Color.PLANAR, Ord(b, 1), rank=b)
-    return [row, Member(b), replace(row, id=label)]
+    germ = Ord(b, 1)
+    row = GermClass(f"rank({print_cnf(b)})", COUNTABLE, Color.PLANAR, germ, rank=b)
+    return [row, Member(b), GermClass(label, COUNTABLE, Color.PLANAR, germ, rank=b)]
 
 
 @settings(max_examples=200)

@@ -8,17 +8,13 @@ from endscope.oracle import (
     NEVER,
     _colors_mismatch,
     _derivative_mismatch,
-    _flatten,
     _fold,
     _hidden,
     _isolated_mismatch,
-    bundle,
-    cb_bruteforce,
     equiv_invariants,
     sample_nodes,
-    tr_embeds,
-    truncate,
 )
+from oracle_ref import _flatten, bundle, cb_bruteforce, tr_embeds, truncate
 from endscope.parser import parse_term
 from endscope.terms import (
     Cantor,

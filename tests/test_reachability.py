@@ -19,8 +19,6 @@ SRC = Path(endscope.__file__).parent
 
 _CRITERION_5 = "acceptance criterion 5 factors an alternating map with it"
 _PREORDER = "the family-aware preorder query that the germ tests read"
-_SECOND_OPINION = "the tests' independent second opinion (brute-force oracle)"
-_SAMPLE_TREE = "the built sample tree that tr_embeds, cb_bruteforce and the reference tests walk"
 
 KEEP = {
     "swindle.commutator_from_alternating": _CRITERION_5,
@@ -28,33 +26,18 @@ KEEP = {
     "germs.dominates": _PREORDER,
     "germs._pair_leq": _PREORDER,
     "parser.parse_term": "bench/curves.py and the tests parse bare terms with it",
-    "oracle.bundle": _SECOND_OPINION,
-    "oracle.cb_bruteforce": _SECOND_OPINION,
-    "oracle.tr_embeds": _SECOND_OPINION,
-    "oracle._fit_forest": _SECOND_OPINION,
-    "oracle._fits": _SECOND_OPINION,
-    "oracle._subtrees": _SECOND_OPINION,
-    "oracle._subtrees_below": _SECOND_OPINION,
-    "oracle._has_isolated_below": _SECOND_OPINION,
-    "oracle.TrNode": _SAMPLE_TREE,
-    "oracle.Truncation": _SAMPLE_TREE,
-    "oracle.truncate": _SAMPLE_TREE,
-    "oracle._forest": _SAMPLE_TREE,
-    "oracle._ord_node": _SAMPLE_TREE,
-    "oracle._cantor_node": _SAMPLE_TREE,
-    "oracle._flatten": _SAMPLE_TREE,
-    "oracle._cb_counts": _SAMPLE_TREE,
 }
 
 
 def _imports(node) -> dict:
-    """Local name -> qualified name for each `from .module import name`
-    anywhere in `node`, function-local imports included."""
+    """Local name -> qualified name for each `from .module import name` and
+    `from . import name` (a name of the package's `__init__`) anywhere in
+    `node`, function-local imports included."""
     out = {}
     for n in ast.walk(node):
-        if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module:
+        if isinstance(n, ast.ImportFrom) and n.level == 1:
             for alias in n.names:
-                out[alias.asname or alias.name] = f"{n.module}.{alias.name}"
+                out[alias.asname or alias.name] = f"{n.module or '__init__'}.{alias.name}"
     return out
 
 

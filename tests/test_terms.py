@@ -1,12 +1,44 @@
-from dataclasses import fields, make_dataclass, replace
+import json
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from catalog import catalog, cnfs, random_terms, raw_terms
+from endscope import germs, swindle
+from endscope.examples_builtin import EXAMPLES
+from endscope.exponents import DagNode, ExponentDag, constants
+from endscope.germs import (
+    CANTOR,
+    COUNTABLE,
+    GermClass,
+    GermTable,
+    Kind,
+    Member,
+    NotSuccessor,
+    Successor,
+    derive_table,
+    from_json,
+    predecessors,
+    to_json,
+)
 from endscope.ordinals import ONE, OMEGA, ZERO, Cnf, add, from_nat, mul_nat, omega_pow, print_cnf
-from endscope.parser import parse_term
+from endscope.parser import Token, lex, parse, parse_term
+from endscope.stability import (
+    Annulus,
+    AnnulusDecomposition,
+    Brick,
+    Decomposition,
+    ShiftRecipe,
+    Stable,
+    Unknown,
+    Unstable,
+    annuli,
+    shift,
+    stable_nbhd,
+)
+from endscope.swindle import SlotLayout, SlotWord, em_layout, slot_word
 from endscope.terms import (
     Cantor,
     Color,
@@ -17,6 +49,7 @@ from endscope.terms import (
     Ord,
     Pt,
     Sum,
+    SurfaceDescriptor,
     ValidationError,
     cb_rank,
     colors_of,
@@ -31,6 +64,7 @@ from endscope.terms import (
     term_size,
     validate,
 )
+from endscope.verdict import TelescopingResult, Verdict, surface_verdict, telescoping
 
 
 def test_catalog_is_valid():
@@ -118,15 +152,51 @@ def test_ord_degree_validated():
 
 
 # ---------------------------------------------------------------------------
-# cached hash, size and rendering against the generated dataclass methods and
-# the recursive renderers they replace
+# cached hash, size and rendering against the methods a frozen dataclass
+# generates and the recursive renderers they replace
 
-# plain frozen dataclasses with the same names and compared fields: their
-# hash, == and repr are the ones dataclasses generates
-_PLAIN = {
-    cls: make_dataclass(cls.__name__, [f.name for f in fields(cls) if f.compare], frozen=True)
-    for cls in (Pt, Ord, Mix, Cantor, Sum, Cnf)
+# the fields of each immutable class of the package, in the order of its
+# constructor's parameters; those that it compares, for the classes with `==`
+_FIELDS = {
+    # terms and ordinals
+    Pt: ("color",),
+    Ord: ("rank", "degree"),
+    Mix: ("components", "limit_color"),
+    Cantor: ("components", "color"),
+    Sum: ("parts",),
+    Cnf: ("summands",),
+    SurfaceDescriptor: ("genus", "ends"),
+    Token: ("kind", "text", "line", "col"),
+    # germ tables
+    Kind: ("name", "count"),
+    GermClass: ("id", "kind", "color", "germ", "rank", "family", "family_bound"),
+    Successor: ("preds",),
+    NotSuccessor: ("reason",),
+    GermTable: ("classes", "leq", "acc", "origin", "surface"),
+    Member: ("rank",),
+    germs._Classes: ("ranks", "germs", "bound"),
+    # stability and verdicts
+    Decomposition: ("basepoint", "shape", "germ", "rank"),
+    Stable: ("decomposition",),
+    Unstable: ("obstruction",),
+    Unknown: ("note",),
+    Brick: ("prefix", "period"),
+    ShiftRecipe: ("brick",),
+    Annulus: ("index", "contents", "genus", "term"),
+    AnnulusDecomposition: ("basepoint", "case", "annuli"),
+    TelescopingResult: ("id", "status", "case", "failure"),
+    Verdict: ("ac", "basis", "per_class", "witness", "notes", "table", "stability"),
+    DagNode: ("name", "deps", "compute", "note"),
+    ExponentDag: ("nodes", "values"),
+    # commutator checks
+    SlotWord: ("assignment",),
+    swindle._ShiftElem: ("shift", "words"),
+    SlotLayout: ("red", "blue_blocks"),
 }
+
+# plain frozen dataclasses with the same names and fields: their hash, == and
+# repr are the ones dataclasses generates
+_PLAIN = {cls: make_dataclass(cls.__name__, names, frozen=True) for cls, names in _FIELDS.items()}
 
 
 def _plain(x, cnf: bool = True):
@@ -134,8 +204,7 @@ def _plain(x, cnf: bool = True):
     if isinstance(x, tuple):
         return tuple(_plain(v, cnf) for v in x)
     if type(x) in _PLAIN and (cnf or not isinstance(x, Cnf)):
-        cls = _PLAIN[type(x)]
-        return cls(*(_plain(getattr(x, f.name), cnf) for f in fields(cls)))
+        return _PLAIN[type(x)](*(_plain(v, cnf) for v in _field_tuple(x)))
     return x
 
 
@@ -146,7 +215,7 @@ def _subterms(t):
 
 
 def _field_tuple(x) -> tuple:
-    return tuple(getattr(x, f.name) for f in fields(x) if f.compare)
+    return tuple(getattr(x, name) for name in _FIELDS[type(x)])
 
 
 def _ref_print_cnf(a) -> str:
@@ -262,11 +331,13 @@ _FLIP = {Color.PLANAR: Color.GENUS, Color.GENUS: Color.PLANAR}
 
 
 def _rebuilt(t):
-    """t rebuilt by dataclasses.replace: as it is, and with its own color flipped."""
-    yield replace(t)
+    """t rebuilt through its constructor: as it is, and with its own color
+    flipped."""
+    fields = dict(zip(_FIELDS[type(t)], _field_tuple(t)))
+    yield type(t)(**fields)
     for name in ("color", "limit_color"):
-        if hasattr(t, name):
-            yield replace(t, **{name: _FLIP[getattr(t, name)]})
+        if name in fields:
+            yield type(t)(**{**fields, name: _FLIP[fields[name]]})
 
 
 @given(st.one_of(raw_terms, random_terms))
@@ -288,3 +359,84 @@ def test_equal_color_sets_are_one_shared_object(a, b):
 def test_different_terms_share_their_color_set():
     a, b = parse_term("mix(ord(w),pt^g;g)"), parse_term("sum(pt,cantor^g())")
     assert a != b and colors_of(a) is colors_of(b)
+
+
+# ---------------------------------------------------------------------------
+# the value classes of the other modules against the methods a frozen
+# dataclass generates
+
+
+def _values() -> dict:
+    """Instances of each class, some equal and some not: the ones the engine
+    builds from the built-in examples, and copies rebuilt from their fields."""
+    surface = parse(EXAMPLES["mona-lisa"])
+    table = derive_table(surface.ends)
+    user = from_json(json.loads(EXAMPLES["unknown-6-2"]))
+    tables = [table, derive_table(surface.ends), derive_table(parse_term("ord(w^(2))")), user,
+              from_json(to_json(table)), from_json(json.loads(EXAMPLES["unknown-6-2"]))]
+    ids = table.ids()
+    stable = [stable_nbhd(table, x) for x in ids]
+    rows = [r for t in tables for r in t.classes]
+    out = {
+        SurfaceDescriptor: [surface, parse(EXAMPLES["mona-lisa"]), parse(EXAMPLES["flute"])],
+        Kind: [Kind("finite", 2), Kind("finite", 2), Kind("finite", 3), COUNTABLE, CANTOR,
+               Kind("cantor")],
+        GermClass: rows,
+        GermTable: tables,
+        Member: [Member(ONE), Member(from_nat(1)), Member(OMEGA)],
+        Successor: [predecessors(t, x) for t in tables for x in t.ids()]
+        + [Successor(("a",)), Successor(("a",))],
+        NotSuccessor: [NotSuccessor(), NotSuccessor(""), NotSuccessor("x")],
+        Stable: stable + [stable_nbhd(table, x) for x in ids],
+        Decomposition: [v.decomposition for v in stable],
+        Brick: [Brick(), Brick((), (1, 0)), Brick((1,), (0, 1))],
+        SlotWord: [slot_word({0: [1]}), slot_word({0: [1, 2, -2]}), slot_word({1: [1]})],
+        TelescopingResult: [telescoping(t, x) for t in tables[:2] for x in t.ids()],
+        Unstable: [stable_nbhd(user, "Linf")],
+        Unknown: [stable_nbhd(user, "p"), Unknown()],
+    }
+    for cls, xs in out.items():
+        xs += [cls(*_field_tuple(x)) for x in xs if type(x) is cls]
+    return out
+
+
+def test_value_classes_compare_hash_and_show_as_the_generated_methods():
+    for cls, xs in _values().items():
+        for x in xs:
+            if cls in (Unstable, Unknown):  # shown when `certify` refuses a class
+                assert repr(x) == repr(_plain(x)), cls
+                continue
+            assert hash(x) == hash(_plain(x)), cls
+            for y in xs:
+                assert (x == y) == (_plain(x) == _plain(y)), (cls, x, y)
+
+
+def _every_value_class() -> list:
+    """One instance of each immutable class."""
+    surface = parse(EXAMPLES["mona-lisa"])
+    table = derive_table(surface.ends)
+    user = from_json(json.loads(EXAMPLES["unknown-6-2"]))
+    dec = annuli(surface, "cantor()", depth=2)
+    dag = constants()
+    layout, h1, _ = em_layout(2)
+    stable = stable_nbhd(table, "cantor()")
+    return [
+        Pt(), Ord(ONE, 2), surface.ends, Cantor(), Sum((Pt(), Pt())), ONE, surface,
+        lex("pt")[0], CANTOR, table.classes[0], predecessors(table, table.ids()[-1]),
+        NotSuccessor("none"), table, Member(ONE), germs._classes(surface.ends, False),
+        stable, stable.decomposition, stable_nbhd(user, "Linf"), stable_nbhd(user, "p"),
+        Brick(), shift(Brick()), dec, dec.annuli[0], telescoping(table, "cantor()"),
+        surface_verdict(surface), dag, dag.nodes[0], h1, swindle._ShiftElem(0, h1), layout,
+    ]
+
+
+def test_every_value_class_is_immutable():
+    values = _every_value_class()
+    assert {type(x) for x in values} == set(_FIELDS)
+    for x in values:
+        for name in _FIELDS[type(x)] + ("unknown_field",):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+        for name in _FIELDS[type(x)]:
+            with pytest.raises(AttributeError):
+                delattr(x, name)

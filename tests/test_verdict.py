@@ -5,16 +5,9 @@ import pytest
 from endscope.examples_builtin import EXAMPLES
 from endscope.germs import derive_table, from_json
 from endscope.parser import parse, parse_term
+from endscope.exponents import REQUIRED_CONSTANTS, constants
 from endscope.terms import ValidationError
-from endscope.verdict import (
-    CASE_NOTE,
-    EQUIV_NOTE,
-    REQUIRED_CONSTANTS,
-    constants,
-    stone_verdict,
-    surface_verdict,
-    telescoping,
-)
+from endscope.verdict import CASE_NOTE, EQUIV_NOTE, stone_verdict, surface_verdict, telescoping
 
 
 def _table(src: str):
