@@ -15,6 +15,14 @@ rank classes; these are stored symbolically as one family row "rank(*)" with
 an exclusive upper bound, and queries instantiate a `Member` on demand, which
 answers the row attributes as the rank row of germ Ord(b, 1) would.
 
+A table holds each relation as one int bitmask per row, indexed by the row's
+position in the id-sorted `classes`; `leq` and `acc` are pair views built
+when read, never stored. `_table` closes both relations for every table,
+derived or read from JSON, by one Warshall pass over the rows of each. Rank
+rows compare through one sort by rank: the rank rows above one are a suffix
+of that order, the rank rows it accumulates onto too, and `_row_leq` runs
+only on the pairs with a germ or family row.
+
 Classes are a synthesized attribute: each (term, context) pair has one
 immutable class set (kinds by rank and by canonical germ, the family bound),
 built once from its children's sets. Tables start from these sets; rewrite R4
@@ -31,7 +39,7 @@ listed relations are available and no family member is instantiated.
 from __future__ import annotations
 
 import re
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 
 from . import _Frozen, _set
 from .normalize import _absorb_pass, fixpoint, normalize_structural
@@ -180,32 +188,67 @@ DERIVED = "derived-from-term"
 
 class GermTable(_Frozen):
     """The classes of a space: `classes` holds the `GermClass` rows sorted by
-    id, `leq` the pairs (y, x) and `acc` the pairs (z, x). Its instances keep
-    a `__dict__`, where the cached properties below store their values."""
+    id. The relations are one bitmask per row, over row indices: bit x of
+    `up[y]` is set when (y, x) is in `leq`, and bit x of `acc_out[z]` when
+    (z, x) is in `acc`. `leq` and `acc` build those pair sets on every read,
+    so that no table, memoized ones included, stores them. Its instances
+    keep a `__dict__`, where the cached properties below store their values.
+
+    The constructor takes the pairs, as the fields read; the engine builds
+    its tables from masks through `from_masks`."""
 
     def __init__(
         self,
         classes: tuple,
-        leq: frozenset,
-        acc: frozenset,
+        leq,
+        acc,
         origin: str = DERIVED,
         surface: bool = False,
     ):
+        pos = {c.id: i for i, c in enumerate(classes)}
+        self._fill(classes, _masks(pos, leq), _masks(pos, acc), origin, surface)
+
+    @classmethod
+    def from_masks(
+        cls, classes: tuple, up: tuple, acc_out: tuple, origin: str = DERIVED,
+        surface: bool = False,
+    ) -> GermTable:
+        table = cls.__new__(cls)
+        table._fill(classes, up, acc_out, origin, surface)
+        return table
+
+    def _fill(self, classes, up, acc_out, origin, surface):
         _set(self, "classes", classes)
-        _set(self, "leq", leq)
-        _set(self, "acc", acc)
+        _set(self, "up", up)
+        _set(self, "acc_out", acc_out)
         _set(self, "origin", origin)
         _set(self, "surface", surface)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.classes, self.leq, self.acc, self.origin, self.surface) == (
-                other.classes, other.leq, other.acc, other.origin, other.surface
+            return (self.classes, self.up, self.acc_out, self.origin, self.surface) == (
+                other.classes, other.up, other.acc_out, other.origin, other.surface
             )
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.classes, self.leq, self.acc, self.origin, self.surface))
+
+    @property
+    def leq(self) -> frozenset:
+        """The id pairs (y, x) of `up`, built on each read."""
+        return frozenset(self._id_pairs(self.up))
+
+    @property
+    def acc(self) -> frozenset:
+        """The id pairs (z, x) of `acc_out`, built on each read."""
+        return frozenset(self._id_pairs(self.acc_out))
+
+    def _id_pairs(self, masks: tuple):
+        """The id pairs of `masks`, row by row and bit by bit ascending: as
+        `classes` is sorted by id, in sorted order."""
+        ids = self.ids()
+        return ((ids[i], ids[j]) for i, mask in enumerate(masks) for j in _bits(mask))
 
     @cached_property
     def position(self) -> dict:
@@ -217,26 +260,25 @@ class GermTable(_Frozen):
         """Per row, a bitmask over row indices of the classes strictly above
         it in `leq`. Built on first use, so only tables that are queried
         carry it."""
-        pos = self.position
-        up = [0] * len(self.classes)
-        for y, x in self.leq:
-            if y != x and (x, y) not in self.leq:
-                up[pos[y]] |= 1 << pos[x]
-        return tuple(up)
+        down = _transpose(self.up)
+        return tuple(u & ~d & ~(1 << i) for i, (u, d) in enumerate(zip(self.up, down)))
+
+    @cached_property
+    def strict_down(self) -> tuple:
+        """Per row, a bitmask over row indices of the classes strictly below
+        it in `leq`: `strict_up` transposed. Built on first use."""
+        return _transpose(self.strict_up)
 
     @cached_property
     def acc_into(self) -> tuple:
         """Per row, a bitmask over row indices of the classes that accumulate
-        onto it in `acc`. Built on first use, like `strict_up`."""
-        pos = self.position
-        into = [0] * len(self.classes)
-        for z, x in self.acc:
-            into[pos[x]] |= 1 << pos[z]
-        return tuple(into)
+        onto it in `acc`: `acc_out` transposed. Built on first use."""
+        return _transpose(self.acc_out)
 
-    def rows_in(self, mask: int) -> list:
-        """The rows whose indices are set in `mask`, in table order."""
-        return [c for i, c in enumerate(self.classes) if mask >> i & 1]
+    def rows_in(self, mask: int):
+        """The rows whose indices are set in `mask`, in table order, one at a
+        time, so that `any` and `all` stop at the first row that decides."""
+        return (self.classes[i] for i in _bits(mask))
 
     def row(self, cid: str) -> GermClass:
         try:
@@ -256,6 +298,31 @@ class GermTable(_Frozen):
         """Whether the rows carry germ terms, as derived tables do. A table
         read from JSON never does, whatever its `origin` says."""
         return any(c.germ is not None for c in self.classes)
+
+
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _masks(pos: dict, pairs) -> tuple:
+    """The id pairs `pairs` as one bitmask per row; `pos` maps id -> row."""
+    rows = [0] * len(pos)
+    for y, x in pairs:
+        rows[pos[y]] |= 1 << pos[x]
+    return tuple(rows)
+
+
+def _transpose(rows: tuple) -> tuple:
+    """The bitmask rows of the transposed relation: bit i of row j is bit j
+    of row i. Each row is spelled as n binary digits, most significant
+    first, so `zip` reads the columns off from the highest bit down."""
+    n = len(rows)
+    spelled = [format(mask, f"0{n}b") for mask in rows]
+    return tuple(int("".join(col)[::-1], 2) for col in zip(*spelled))[::-1]
 
 
 class Member(_Frozen):
@@ -464,22 +531,31 @@ def derive_table(t: Term) -> GermTable:
 @_memo
 def _derive(t: Term) -> GermTable:
     """The table of a structural normal form t, which every term with that
-    normal form shares."""
-    rows, bound = _collected_rows(t)
-    pairs = {(a.id, b.id) for a in rows for b in rows if _row_leq(a, b, bound)}
-    rows = _merge_mutual(rows, pairs)
-    kept = {r.id for r in rows}
-    leq = {(y, x) for y, x in pairs if y in kept and x in kept}
-    return _table(rows, leq, _acc_pairs(rows, bound))
+    normal form shares. The masks index the collected rows in id order, the
+    order of the table, so merging only drops the bits of the rows that
+    merged into another."""
+    collected, bound = _collected_rows(t)
+    rows = sorted(collected, key=lambda r: r.id)
+    pos = {r.id: i for i, r in enumerate(rows)}
+    order = [pos[r.id] for r in collected]
+    up, down = _row_masks(rows, [i for i in order if rows[i].rank is not None], bound)
+    slots = _merge_mutual(rows, order, up, down)
+    kept = sorted(k for k, _ in slots)
+    gone = sorted(set(range(len(rows))) - set(kept), reverse=True)
+    merged = [r for _, r in slots]
+    rows = tuple(sorted(merged, key=lambda r: r.id))
+    pos = {r.id: i for i, r in enumerate(rows)}
+    return _table(rows, [_drop_bits(up[k], gone) for k in kept], _acc_masks(merged, pos, bound))
 
 
 def _collected_rows(t: Term) -> tuple:
     """The class rows of t before mutually embeddable rows merge, and the
-    family bound (None without a family row)."""
+    family bound (None without a family row). Rank rows come first, by
+    ascending rank."""
     col = _classes(t, False)
     bound = col.bound
     rows = []
-    for b in sorted(col.ranks, key=_sort_key):
+    for b in sorted(col.ranks, key=_BY_RANK):
         if bound is not None and cmp(b, bound) < 0:
             continue  # covered by the family row
         rows.append(
@@ -501,8 +577,7 @@ def _collected_rows(t: Term) -> tuple:
     return rows, bound
 
 
-def _sort_key(b: Cnf):
-    return (len(b.summands), print_cnf(b))
+_BY_RANK = cmp_to_key(cmp)
 
 
 def _row_leq(a: GermClass, b: GermClass, bound) -> bool:
@@ -520,57 +595,99 @@ def _row_leq(a: GermClass, b: GermClass, bound) -> bool:
     return emb(a.germ, b.germ)
 
 
-def _merge_mutual(rows: list, pairs: set) -> list:
-    """Merge each row into the first earlier row it embeds both ways with;
-    `pairs` holds the id pairs that `_row_leq` accepts."""
-    out = []
-    for r in rows:
-        target = None
-        for i, existing in enumerate(out):
-            if (r.id, existing.id) in pairs and (existing.id, r.id) in pairs:
-                target = i
-                break
-        if target is None:
-            out.append(r)
-        else:
-            keep = out[target]
-            if keep.kind != CANTOR and r.kind == CANTOR:
-                keep, r = r, keep
-            out[target] = GermClass(
-                keep.id,
-                keep.kind + r.kind,
-                keep.color,
-                keep.germ,
-                keep.rank,
-                keep.family,
-                keep.family_bound,
-            )
-    return out
+def _row_masks(rows: list, ranked: list, bound) -> tuple:
+    """`up` and `down`: per row, the bitmask of the rows that `_row_leq`
+    puts it below and above. `ranked` holds the indices of the rank rows by
+    ascending rank; their ranks are distinct, so each is below exactly the
+    rank rows from itself on. `_row_leq` decides the pairs with a germ or
+    family row."""
+    n = len(rows)
+    up, down = [0] * n, [0] * n
+    above = below = 0
+    for i, j in zip(reversed(ranked), ranked):
+        above |= 1 << i
+        up[i] = above
+        below |= 1 << j
+        down[j] = below
+    others = [i for i, r in enumerate(rows) if r.rank is None]
+    for a, ra in enumerate(rows):
+        for b in range(n) if ra.rank is None else others:
+            if _row_leq(ra, rows[b], bound):
+                up[a] |= 1 << b
+                down[b] |= 1 << a
+    return up, down
 
 
-def _acc_pairs(rows, bound) -> set:
+def _merge_mutual(rows: list, order: list, up: list, down: list) -> list:
+    """Merge each row into the first earlier row it embeds both ways with,
+    visiting the rows in the order of the indices `order`; `up` and `down`
+    are the masks of `_row_masks`. Returns one (index, row) slot per merged
+    class, in visiting order, where the index is that of the row whose id
+    the class keeps."""
+    slots, kept = [], 0  # kept: the bitmask of the slot indices
+    for i in order:
+        mutual = up[i] & down[i] & kept
+        if not mutual:
+            slots.append((i, rows[i]))
+            kept |= 1 << i
+            continue
+        s = next(s for s, (k, _) in enumerate(slots) if mutual >> k & 1)
+        k, keep = slots[s]
+        r = rows[i]
+        if keep.kind != CANTOR and r.kind == CANTOR:
+            keep, r = r, keep
+            kept ^= 1 << k | 1 << i
+            k = i
+        slots[s] = (k, GermClass(
+            keep.id,
+            keep.kind + r.kind,
+            keep.color,
+            keep.germ,
+            keep.rank,
+            keep.family,
+            keep.family_bound,
+        ))
+    return slots
+
+
+def _drop_bits(mask: int, gone: list) -> int:
+    """`mask` without the bits at the indices `gone`, in descending order;
+    the bits above each one move down."""
+    for i in gone:
+        mask = mask >> (i + 1) << i | mask & ((1 << i) - 1)
+    return mask
+
+
+def _acc_masks(rows: list, pos: dict, bound) -> list:
+    """Per row, the bitmask of the rows it accumulates onto, before the
+    closure. `rows` are the merged rows in collected order, so the rank rows
+    come by ascending rank; `pos` maps each id to its row index. A rank row
+    accumulates onto each higher one, and the family row onto every rank
+    row of positive rank."""
     by_id = {r.id: r for r in rows}
-    pairs = set()
+    out = [0] * len(rows)
+    onto = 0  # the rank rows of positive rank above the current one
+    for r in reversed([r for r in rows if r.rank is not None]):
+        i = pos[r.id]
+        out[i] = onto
+        if not r.rank.is_zero():
+            onto |= 1 << i
     for x in rows:
+        i = pos[x.id]
         if x.family:
+            out[i] |= onto
             if cmp(bound, ONE) > 0:
-                pairs.add((x.id, x.id))
+                out[i] |= 1 << i
             continue
         g = x.germ
-        if isinstance(g, Ord):
-            if cmp(g.rank, ZERO) > 0:
-                for z in rows:
-                    if z.family or (z.rank is not None and cmp(z.rank, g.rank) < 0):
-                        pairs.add((z.id, x.id))
-            continue
-        if isinstance(g, Pt):
+        if isinstance(g, (Ord, Pt)):
             continue
         for src in _interior_ids(g, by_id, bound):
             if src in by_id:
-                pairs.add((src, x.id))
+                out[pos[src]] |= 1 << i
         if isinstance(g, Cantor):
-            pairs.add((x.id, x.id))
-    return pairs
+            out[i] |= 1 << i
+    return out
 
 
 def _interior_ids(g: Term, by_id: dict, bound) -> set:
@@ -605,26 +722,24 @@ def _equivalent_row(rows, g: Term):
     return None
 
 
-def _table(rows, leq, acc, **kw) -> GermTable:
-    """The table of `rows` with `acc` closed and `leq` the closure of
-    `leq | acc` and the identity: accumulation onto x makes the accumulating
-    class embed into every neighborhood of x. `kw` goes to `GermTable`."""
+def _table(rows: tuple, up, acc, **kw) -> GermTable:
+    """The table of `rows`, sorted by id, with `acc` closed and `leq` the
+    closure of `leq | acc` and the identity: accumulation onto x makes the
+    accumulating class embed into every neighborhood of x. `up` and `acc`
+    are bitmask rows over `rows`; `kw` goes to `GermTable.from_masks`."""
     acc = _close(acc)
-    leq = _close(set(leq) | acc | {(r.id, r.id) for r in rows})
-    rows = tuple(sorted(rows, key=lambda r: r.id))
-    return GermTable(rows, frozenset(leq), frozenset(acc), **kw)
+    up = _close([u | a | 1 << i for i, (u, a) in enumerate(zip(up, acc))])
+    return GermTable.from_masks(rows, up, acc, **kw)
 
 
-def _close(pairs: set) -> set:
-    """Transitive closure, by Warshall's algorithm over successor sets."""
-    succ = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    for k, via in succ.items():
-        for out in succ.values():
-            if k in out:
-                out |= via
-    return {(a, b) for a, out in succ.items() for b in out}
+def _close(rows) -> tuple:
+    """Transitive closure of bitmask rows, by Warshall's algorithm: row k in
+    turn joins every row that has bit k."""
+    rows = list(rows)
+    for k in range(len(rows)):
+        bit, via = 1 << k, rows[k]
+        rows = [r | via if r & bit else r for r in rows]
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +795,8 @@ def _resolve(table: GermTable, cid: str):
 def _pair_leq(table: GermTable, y, x) -> bool:
     if isinstance(y, Member) or isinstance(x, Member):
         return _row_leq(y, x, table.family_row.family_bound)
-    return (y.id, x.id) in table.leq
+    pos = table.position
+    return bool(table.up[pos[y.id]] >> pos[x.id] & 1)
 
 
 def dominates(table: GermTable, y: str, x: str) -> bool:
@@ -691,17 +807,16 @@ def maximal_classes(table: GermTable) -> set:
     return {r.id for r, up in zip(table.classes, table.strict_up) if not up}
 
 
-def _strictly_below(table: GermTable, r: GermClass) -> list:
-    """Indices of the rows strictly below row r, in table order."""
-    bit = 1 << table.position[r.id]
-    return [i for i, up in enumerate(table.strict_up) if up & bit]
+def _strictly_below(table: GermTable, r: GermClass) -> int:
+    """The bitmask of the rows strictly below row r."""
+    return table.strict_down[table.position[r.id]]
 
 
-def _maximal_among(table: GermTable, below: list) -> list:
-    """The rows of `below` (indices) with no row of `below` strictly above."""
-    mask = sum(1 << i for i in below)
+def _maximal_among(table: GermTable, below: int) -> list:
+    """The rows of the bitmask `below` with no row of `below` strictly
+    above, in table order."""
     up = table.strict_up
-    return [table.classes[i] for i in below if not up[i] & mask]
+    return [table.classes[i] for i in _bits(below) if not up[i] & below]
 
 
 def cantor_type(table: GermTable, x: str) -> bool:
@@ -749,9 +864,10 @@ def _predecessors_user(table: GermTable, r: GermClass):
 
 
 def _predecessors_derived(table: GermTable, r: GermClass):
-    below = [i for i in _strictly_below(table, r) if not table.classes[i].family]
-    rows_below = [table.classes[i] for i in below]
+    below = _strictly_below(table, r)
     fam = table.family_row
+    if fam is not None:  # a derived table has one family row at most
+        below &= ~(1 << table.position[fam.id])
     member_cap = None
     if fam is not None and not r.family:
         c = cap(r.germ)
@@ -764,7 +880,7 @@ def _predecessors_derived(table: GermTable, r: GermClass):
             z.germ is not None
             and cap(z.germ) is not None
             and cmp(member_cap, add(cap(z.germ), ONE)) <= 0
-            for z in rows_below
+            for z in table.rows_in(below)
         )
         if not covered:
             if member_cap.is_successor():
@@ -773,7 +889,7 @@ def _predecessors_derived(table: GermTable, r: GermClass):
                 return NotSuccessor(
                     "limit rank family below with no covering class"
                 )
-    if not rows_below and extra_member is None:
+    if not below and extra_member is None:
         return NotSuccessor("no classes below")
     ids = [z.id for z in _maximal_among(table, below)]
     if extra_member is not None:
@@ -798,8 +914,8 @@ def to_json(table: GermTable) -> dict:
         classes.append(row)
     out = {
         "classes": classes,
-        "leq": sorted([y, x] for (y, x) in table.leq),
-        "acc": sorted([z, x] for (z, x) in table.acc),
+        "leq": [list(p) for p in table._id_pairs(table.up)],
+        "acc": [list(p) for p in table._id_pairs(table.acc_out)],
         "origin": table.origin,
     }
     if table.surface:
@@ -851,8 +967,12 @@ def from_json(doc: dict) -> GermTable:
     for (z, x) in accs:
         if rows[z].color is Color.GENUS and rows[x].color is not Color.GENUS:
             raise ValidationError(f"genus class {z} accumulates onto planar class {x}")
+    rows = tuple(sorted(rows.values(), key=lambda r: r.id))
+    pos = {r.id: i for i, r in enumerate(rows)}
     origin = doc.get("origin", "user-supplied")
-    return _table(rows.values(), leq, accs, origin=origin, surface=bool(doc.get("surface")))
+    return _table(
+        rows, _masks(pos, leq), _masks(pos, accs), origin=origin, surface=bool(doc.get("surface"))
+    )
 
 
 def _pairs(doc: dict, key: str) -> list:

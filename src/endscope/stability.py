@@ -437,7 +437,7 @@ def _table_signature(table: GermTable):
         (c.id, c.kind.name, str(c.color), c.family, print_cnf(c.family_bound) if c.family_bound else None)
         for c in table.classes
     )
-    return (classes, table.leq, table.acc)
+    return (classes, table.up, table.acc_out)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def _failure(table: GermTable, row, x: str) -> str:
     if not row.family and row.color is Color.GENUS and isolated_in_Eg(table, x):
         return "F1"
     # F2: a countable class sits strictly below x
-    if any(table.classes[i].kind != CANTOR for i in _strictly_below(table, row)):
+    if any(z.kind != CANTOR for z in table.rows_in(_strictly_below(table, row))):
         return "F2"
     return "F3"
 

@@ -694,6 +694,28 @@ def test_the_oracle_compares_the_deepest_rank_with_itself(capsys):
     assert capsys.readouterr() == ("same up to depth 3\n", "")
 
 
+def _stored(obj) -> list:
+    """The values that `obj` holds in its `__dict__` and its slots."""
+    slots = [s for c in type(obj).__mro__ for s in getattr(c, "__slots__", ())]
+    return list(vars(obj).values()) + [getattr(obj, s) for s in slots if hasattr(obj, s)]
+
+
+def test_memoized_tables_store_no_pair_set(tmp_path, capsys):
+    n = 40
+    f = _write(tmp_path, "tower.txt", f"ord(w^({n}))")
+    for argv in (["classify", f], ["verdict", "--format", "json", f],
+                 ["certify", f, "--end", f"rank({n})"]):
+        assert run(argv) == 0, argv
+    hits = germs.derive_table.cache_info().hits
+    table = germs.derive_table(parse(f"ord(w^({n}))"))
+    assert germs.derive_table.cache_info().hits == hits + 1  # the table the commands read
+    assert not any(isinstance(v, (set, frozenset)) for v in _stored(table))
+    # the pair views keep their closed-form sizes, and reading them stores nothing
+    assert len(table.leq) == (n + 1) * (n + 2) // 2
+    assert len(table.acc) == n * (n + 1) // 2
+    assert not any(isinstance(v, (set, frozenset)) for v in _stored(table))
+
+
 def test_the_deepest_rank_finds_its_memoized_table(tmp_path, capsys):
     f = _write(tmp_path, "tower.txt", _TOWER)
     assert run(["verdict", f]) == 0

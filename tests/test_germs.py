@@ -21,12 +21,12 @@ from endscope.germs import (
     NotSuccessor,
     Successor,
     UnknownClass,
-    _acc_pairs,
     _close,
     _collected_rows,
+    _interior_ids,
+    _masks,
     _pair_leq,
     _row_leq,
-    _table,
     canon,
     cap,
     cantor_type,
@@ -219,10 +219,27 @@ def _fixpoint_close(pairs) -> set:
 _IDS = st.integers(0, 11).map(lambda i: f"c{i}")
 
 
+def _ref_close(pairs: set) -> set:
+    """Transitive closure over successor sets, as `_close` was before the
+    relations were bitmask rows."""
+    succ = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    for k, via in succ.items():
+        for out in succ.values():
+            if k in out:
+                out |= via
+    return {(a, b) for a, out in succ.items() for b in out}
+
+
 @settings(max_examples=300)
 @given(st.sets(st.tuples(_IDS, _IDS), max_size=60))
 def test_close_matches_fixpoint_closure(pairs):
-    assert _close(pairs) == _fixpoint_close(pairs)
+    ids = [f"c{i}" for i in range(12)]
+    closed = _close(_masks({c: i for i, c in enumerate(ids)}, pairs))
+    got = {(ids[i], ids[j]) for i, mask in enumerate(closed) for j in range(12) if mask >> j & 1}
+    assert got == _fixpoint_close(pairs)
+    assert _ref_close(pairs) == got
 
 
 def test_row_index_matches_scan():
@@ -483,7 +500,41 @@ def _two_pass_derive(term) -> GermTable:
         merged[target] = GermClass(keep.id, keep.kind + r.kind, keep.color, keep.germ,
                                    keep.rank, keep.family, keep.family_bound)
     leq = {(a.id, b.id) for a in merged for b in merged if _row_leq(a, b, bound)}
-    return _table(merged, leq, _acc_pairs(merged, bound))
+    return _ref_table(merged, leq, _ref_acc_pairs(merged, bound))
+
+
+def _ref_acc_pairs(rows, bound) -> set:
+    """The `acc` pairs among merged rows, before the closure, as they were
+    built before the relations were bitmask rows."""
+    by_id = {r.id: r for r in rows}
+    pairs = set()
+    for x in rows:
+        if x.family:
+            if cmp(bound, ONE) > 0:
+                pairs.add((x.id, x.id))
+            continue
+        g = x.germ
+        if isinstance(g, Ord):
+            if cmp(g.rank, ZERO) > 0:
+                for z in rows:
+                    if z.family or (z.rank is not None and cmp(z.rank, g.rank) < 0):
+                        pairs.add((z.id, x.id))
+            continue
+        if isinstance(g, Pt):
+            continue
+        for src in _interior_ids(g, by_id, bound):
+            if src in by_id:
+                pairs.add((src, x.id))
+        if isinstance(g, Cantor):
+            pairs.add((x.id, x.id))
+    return pairs
+
+
+def _ref_table(rows, leq, acc) -> GermTable:
+    """The table of `rows`, closing the pair sets as `_table` did."""
+    acc = _ref_close(acc)
+    leq = _ref_close(set(leq) | acc | {(r.id, r.id) for r in rows})
+    return GermTable(tuple(sorted(rows, key=lambda r: r.id)), leq, acc)
 
 
 # terms whose collected rows merge, which few random terms of budget 5 do
@@ -597,7 +648,12 @@ def _clear_memos():
 def _body_runs(memoized, run) -> list:
     """The arguments of every run of the body behind `memoized` while `run()`
     executes, however the body was reached."""
-    code = memoized.__wrapped__.__code__
+    return _runs(memoized.__wrapped__.__code__, run)
+
+
+def _runs(code, run) -> list:
+    """The arguments of every run of the function whose code is `code` while
+    `run()` executes."""
     names = code.co_varnames[: code.co_argcount]
     runs = []
 
@@ -621,6 +677,17 @@ def test_one_derivation_decides_each_embedding_once():
     # no pair is decided twice, and every decision, the recursion's included,
     # is a miss of the memo
     assert runs and len(set(runs)) == len(runs) == emb.cache_info().misses
+
+
+def test_rank_comparisons_grow_with_the_rank_rows_not_their_pairs():
+    # the rank rows compare through one sort, so doubling the tower about
+    # doubles the comparisons; comparing every pair of rows would quadruple them
+    counts = []
+    for n in (100, 200, 400):
+        _clear_memos()
+        term = parse_term(f"ord(w^({n}))")
+        counts.append(len(_runs(cmp.__code__, lambda: derive_table(term))))
+    assert all(b <= 2.5 * a for a, b in zip(counts, counts[1:])), counts
 
 
 # ---------------------------------------------------------------------------
