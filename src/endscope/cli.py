@@ -6,9 +6,10 @@ containing a term, a surface descriptor, or a germ table in the JSON
 interchange format; the format is detected from the first character.
 
 Exit codes: 0 holds, 1 fails, 2 unknown; 64 usage or file errors, 65 input
-errors (syntax, validation, unknown ids), 70 internal errors. The JSON
-reports are byte-identical across runs on identical input; the environment
-variable ENDSCOPE_DEPTH overrides the default checker depth of 20.
+errors (syntax, validation, unknown ids); 70 is reserved for internal errors,
+which still end in a traceback and exit 1 (ROADMAP item 4). The JSON reports
+are byte-identical across runs on identical input; the environment variable
+ENDSCOPE_DEPTH overrides the default checker depth of 20.
 
 Sizes that come from outside have fixed maxima, since the work grows with
 them without bound: ENDSCOPE_DEPTH at most 256, swindle --depth at most 4096,

@@ -64,7 +64,9 @@ from .terms import (
 
 
 class UnknownClass(KeyError):
-    pass
+    # a KeyError's str() is the repr of its key alone
+    def __str__(self) -> str:
+        return f"unknown class id {self.args[0]!r}"
 
 
 class NotGenusColored(ValueError):
@@ -83,14 +85,6 @@ class Kind(_Frozen):
     def __init__(self, name: str, count: int = 0):
         _set(self, "name", name)  # "finite" | "countable_discrete" | "cantor"
         _set(self, "count", count)  # points of a finite kind
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name and self.count == other.count
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.count))
 
     @property
     def is_finite(self) -> bool:
@@ -137,21 +131,6 @@ class GermClass(_Frozen):
         _set(self, "family", family)
         _set(self, "family_bound", family_bound)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.id, self.kind, self.color, self.germ, self.rank, self.family, self.family_bound
-            ) == (
-                other.id, other.kind, other.color, other.germ, other.rank, other.family,
-                other.family_bound,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.id, self.kind, self.color, self.germ, self.rank, self.family, self.family_bound)
-        )
-
 
 class Successor(_Frozen):
     __slots__ = ("preds",)
@@ -159,28 +138,12 @@ class Successor(_Frozen):
     def __init__(self, preds: tuple):
         _set(self, "preds", preds)  # class ids, finite, maximal and covering
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.preds == other.preds
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.preds,))
-
 
 class NotSuccessor(_Frozen):
     __slots__ = ("reason",)
 
     def __init__(self, reason: str = ""):
         _set(self, "reason", reason)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.reason == other.reason
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.reason,))
 
 
 DERIVED = "derived-from-term"
@@ -195,7 +158,11 @@ class GermTable(_Frozen):
     keep a `__dict__`, where the cached properties below store their values.
 
     The constructor takes the pairs, as the fields read; the engine builds
-    its tables from masks through `from_masks`."""
+    its tables from masks through `from_masks`. Having no `__slots__`, it
+    names its `_fields`: the constructor's parameters, so `==`, `hash` and
+    `repr` read the pair sets."""
+
+    _fields = ("classes", "leq", "acc", "origin", "surface")
 
     def __init__(
         self,
@@ -223,16 +190,6 @@ class GermTable(_Frozen):
         _set(self, "acc_out", acc_out)
         _set(self, "origin", origin)
         _set(self, "surface", surface)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.classes, self.up, self.acc_out, self.origin, self.surface) == (
-                other.classes, other.up, other.acc_out, other.origin, other.surface
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.classes, self.leq, self.acc, self.origin, self.surface))
 
     @property
     def leq(self) -> frozenset:
@@ -336,14 +293,6 @@ class Member(_Frozen):
 
     def __init__(self, rank: Cnf):
         _set(self, "rank", rank)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rank == other.rank
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rank,))
 
     @property
     def id(self) -> str:

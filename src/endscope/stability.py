@@ -59,16 +59,6 @@ class Decomposition(_Frozen):
         _set(self, "germ", germ)  # neighborhood type U of the basepoint (None for degenerate Pt)
         _set(self, "rank", rank)  # for rank-blocks
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.basepoint, self.shape, self.germ, self.rank) == (
-                other.basepoint, other.shape, other.germ, other.rank
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.basepoint, self.shape, self.germ, self.rank))
-
     def piece(self, k: int):
         """Term of the k-th clopen piece Y_k (1-based); None when degenerate."""
         if self.shape == "degenerate":
@@ -92,14 +82,6 @@ class Stable(_Frozen):
     def __init__(self, decomposition: Decomposition):
         _set(self, "decomposition", decomposition)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.decomposition == other.decomposition
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.decomposition,))
-
 
 # `certify` prints the repr of an `Unstable` or `Unknown` result when it
 # refuses a class
@@ -109,18 +91,12 @@ class Unstable(_Frozen):
     def __init__(self, obstruction: str):
         _set(self, "obstruction", obstruction)
 
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(obstruction={self.obstruction!r})"
-
 
 class Unknown(_Frozen):
     __slots__ = ("note",)
 
     def __init__(self, note: str = ""):
         _set(self, "note", note)
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(note={self.note!r})"
 
 
 def stable_nbhd(table: GermTable, x: str):
@@ -237,14 +213,6 @@ class Brick(_Frozen):
             raise ValueError("complement must be infinite")
         _set(self, "prefix", prefix)
         _set(self, "period", period)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.prefix, self.period) == (other.prefix, other.period)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.prefix, self.period))
 
     def member(self, i: int) -> bool:
         if i < len(self.prefix):

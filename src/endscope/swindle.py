@@ -72,19 +72,13 @@ class SlotWord(_Frozen):
     """A finite assignment of reduced words to integer slots.
 
     Unassigned slots carry the identity. Its instances keep a `__dict__`,
-    where `_words` stores its value.
+    where `_words` stores its value, so it names its `_fields` itself.
     """
+
+    _fields = ("assignment",)
 
     def __init__(self, assignment: tuple):
         _set(self, "assignment", assignment)  # sorted tuple of (slot, word) pairs, words nonempty
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.assignment == other.assignment
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.assignment,))
 
     @cached_property
     def _words(self) -> dict:

@@ -64,16 +64,6 @@ class TelescopingResult(_Frozen):
         _set(self, "case", case)  # "i" | "ii" | "iii"
         _set(self, "failure", failure)  # "F1" | "F2" | "F3"
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.id, self.status, self.case, self.failure) == (
-                other.id, other.status, other.case, other.failure
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.status, self.case, self.failure))
-
 
 class Verdict(_Frozen):
     """The verdict, with the facts behind it: `per_class` holds the telescoping

@@ -109,7 +109,7 @@ def test_certify_unknown_end(tmp_path, capsys):
         assert run(["certify", f, "--end", "nope", *check]) == 65
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "endscope: 'nope'\n"
+        assert err == "endscope: unknown class id 'nope'\n"
 
 
 @pytest.mark.parametrize("end", [

@@ -1,11 +1,14 @@
+import ast
 import json
 from dataclasses import make_dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from catalog import catalog, cnfs, random_terms, raw_terms
+import endscope
 from endscope import germs, swindle
 from endscope.examples_builtin import EXAMPLES
 from endscope.exponents import DagNode, ExponentDag, constants
@@ -368,7 +371,8 @@ def test_different_terms_share_their_color_set():
 
 def _values() -> dict:
     """Instances of each class, some equal and some not: the ones the engine
-    builds from the built-in examples, and copies rebuilt from their fields."""
+    builds from the built-in examples, one of every immutable class, and
+    copies rebuilt from their fields."""
     surface = parse(EXAMPLES["mona-lisa"])
     table = derive_table(surface.ends)
     user = from_json(json.loads(EXAMPLES["unknown-6-2"]))
@@ -395,20 +399,30 @@ def _values() -> dict:
         Unstable: [stable_nbhd(user, "Linf")],
         Unknown: [stable_nbhd(user, "p"), Unknown()],
     }
+    for x in _every_value_class():
+        out.setdefault(type(x), []).append(x)
     for cls, xs in out.items():
         xs += [cls(*_field_tuple(x)) for x in xs if type(x) is cls]
     return out
 
 
 def test_value_classes_compare_hash_and_show_as_the_generated_methods():
-    for cls, xs in _values().items():
+    values = _values()
+    assert set(values) == set(_FIELDS)
+    for cls, xs in values.items():
         for x in xs:
-            if cls in (Unstable, Unknown):  # shown when `certify` refuses a class
-                assert repr(x) == repr(_plain(x)), cls
-                continue
-            assert hash(x) == hash(_plain(x)), cls
+            twin = _plain(x)
+            # Cnf keeps its own `Cnf<...>` repr, inside other values too
+            assert repr(x) == repr(_plain(x, cnf=False)), cls
+            try:
+                expected = hash(twin)
+            except TypeError:  # a dict or list field
+                with pytest.raises(TypeError):
+                    hash(x)
+            else:
+                assert hash(x) == expected, cls
             for y in xs:
-                assert (x == y) == (_plain(x) == _plain(y)), (cls, x, y)
+                assert (x == y) == (twin == _plain(y)), (cls, x, y)
 
 
 def _every_value_class() -> list:
@@ -440,3 +454,26 @@ def test_every_value_class_is_immutable():
         for name in _FIELDS[type(x)]:
             with pytest.raises(AttributeError):
                 delattr(x, name)
+
+
+# `_Frozen` owns `==`, `hash` and `repr`; only the terms and `Cnf` keep fast
+# paths of their own, over the hash they store when they are built
+_OWN_VALUE_METHODS = {"_Frozen", "_Node", "Pt", "Ord", "Mix", "Cantor", "Sum", "Cnf"}
+
+
+def test_only_frozen_and_the_fast_paths_define_value_methods():
+    found = set()
+    for path in sorted(Path(endscope.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef) or cls.name in _OWN_VALUE_METHODS:
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = {item.name}
+                elif isinstance(item, ast.Assign):  # `__hash__ = ...`
+                    names = {t.id for t in item.targets if isinstance(t, ast.Name)}
+                else:
+                    continue
+                for name in names & {"__eq__", "__hash__", "__repr__"}:
+                    found.add(f"{path.name}:{item.lineno} {cls.name}.{name}")
+    assert not found, sorted(found)
