@@ -9,6 +9,7 @@ constructions and the Steinhaus exponent arithmetic at truncation depth.
 """
 
 from operator import attrgetter
+from weakref import WeakValueDictionary
 
 __version__ = "0.1.0"
 
@@ -22,8 +23,9 @@ class _Frozen:
     a frozen dataclass generates over `_fields`. The hash is hash(field
     tuple): the order of sets and dicts of values, which reaches the output,
     follows it. `_fields` defaults to the class's own `__slots__` names that
-    do not start with `_`. It lives here, not in a submodule, so that the
-    modules that import no other module of the package share it too."""
+    do not start with `_`. `_Interned` below makes equal values one object,
+    so that `==` is `is`. Both live here, not in a submodule, so that the
+    modules that import no other module of the package share them too."""
 
     __slots__ = ()
 
@@ -54,3 +56,37 @@ class _Frozen:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({shown})"
+
+
+class _Interned(_Frozen):
+    """A `_Frozen` value that exists once: building one whose fields equal
+    those of a live value returns that value, so `==` is `is` and the hash,
+    hash(field tuple), is computed once. The table holds its values weakly,
+    so a value dies when nothing else holds it; a table that evicted live
+    values would let two equal ones exist. Subclasses build in `__new__`
+    through `_make` and have no `__init__`, so a hit costs one lookup."""
+
+    __slots__ = ("_hash", "__weakref__")
+    _live = WeakValueDictionary()
+
+    @classmethod
+    def _make(cls, fields: tuple, *args, **kwargs):
+        """The live value of this class with these fields, or a new one with
+        its fields set and the subclass's `_seal(*args, **kwargs)`, which sets
+        the facts derived from them, run before it enters the table; a
+        `_seal` that raises keeps the value out of it."""
+        key = (cls, fields)
+        self = cls._live.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                _set(self, name, value)
+            _set(self, "_hash", hash(fields))
+            self._seal(*args, **kwargs)
+            cls._live[key] = self
+        return self
+
+    __eq__ = object.__eq__
+
+    def __hash__(self) -> int:
+        return self._hash

@@ -27,6 +27,7 @@ import functools
 import json
 import os
 import sys
+from itertools import islice
 
 from . import __version__
 from .examples_builtin import EXAMPLES, example
@@ -121,7 +122,13 @@ def _table_of(obj):
 
 
 def _emit_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write `doc` as `json.dumps(doc, indent=2, sort_keys=True)` and a
+    newline, as a stream: the whole text is never held at once. The chunks go
+    out in batches, since one `write` per chunk doubles the time."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    while batch := "".join(islice(chunks, 8192)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-from . import _Frozen, _set
+from . import _Interned, _set
 
 
 class OrdinalError(ArithmeticError):
@@ -17,17 +17,21 @@ class OrdinalError(ArithmeticError):
 
 
 @total_ordering
-class Cnf(_Frozen):
+class Cnf(_Interned):
     """Ordinal in Cantor normal form: tuple of (exponent, coefficient) pairs.
 
-    Immutable, so the hash is computed once, when the ordinal is built, and
-    the rendering of `print_cnf` the first time it is asked for. The hash is
-    hash((summands,)), that of the tuple of compared fields: the order of
-    sets and dicts of ordinals, which reaches the output, follows it."""
+    Interned (`_Interned`), so equal ordinals are one object and `==` is `is`
+    however deep their exponents nest. A new ordinal is checked, and its hash
+    hash((summands,)) computed, once, when it is first built; its rendering
+    by `print_cnf` the first time it is asked for."""
 
-    __slots__ = ("summands", "_hash", "_text")
+    __slots__ = ("summands", "_text")
 
-    def __init__(self, summands: tuple = ()):
+    def __new__(cls, summands: tuple = ()):
+        return cls._make((summands,))
+
+    def _seal(self):
+        summands = self.summands
         for exp, coeff in summands:
             if not isinstance(exp, Cnf):
                 raise OrdinalError("exponent must be a Cnf")
@@ -37,22 +41,7 @@ class Cnf(_Frozen):
         for a, b in zip(exps, exps[1:]):
             if cmp(a, b) <= 0:
                 raise OrdinalError("exponents must be strictly decreasing")
-        _set(self, "summands", summands)
-        _set(self, "_hash", hash((summands,)))
         _set(self, "_text", None)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        # one frame per exponent level, through `cmp`, where comparing the
-        # nested summand tuples takes several, and the parser lets exponents
-        # nest `MAX_NESTING` deep
-        if self is other:
-            return True
-        if not isinstance(other, Cnf):
-            return NotImplemented
-        return self._hash == other._hash and cmp(self, other) == 0
 
     # -- predicates ------------------------------------------------------
 
@@ -199,7 +188,7 @@ def _render(a: Cnf) -> str:
         if exp.is_zero():
             out.append(str(coeff))
             continue
-        if cmp(exp, ONE) == 0:
+        if exp is ONE:
             piece = "w"
         else:
             piece = f"w^({print_cnf(exp)})"

@@ -27,8 +27,8 @@ from __future__ import annotations
 import enum
 from typing import Union
 
-from . import _Frozen, _set
-from .ordinals import Cnf, ZERO, add, cmp, from_nat, mul_nat, omega_pow
+from . import _Frozen, _Interned, _set
+from .ordinals import Cnf, ZERO, add, from_nat, mul_nat, omega_pow
 
 
 class Color(enum.Enum):
@@ -55,22 +55,20 @@ class NotAllPlanar(ValueError):
     pass
 
 
-# Terms are immutable and shared, so each one computes its facts once, in its
-# constructor, from its own fields and its children's facts: the hash, the size,
-# the colors (a mask of `_BIT` values), whether it is countable and whether it
-# is perfect. Its rendering is computed the first time `pretty` asks. `==`,
-# `hash` and `repr` are `_Frozen`'s over each class's own slots, but `__hash__`
-# returns the stored hash and `__eq__` compares fields without building key
-# tuples, which make a deep nested-mix `verdict` a third slower. `Mix`, `Cantor`
-# and `Sum` compare stored hashes first: unequal trees mostly differ at roots.
+# Terms are interned (`_Interned`): equal terms are one object, so `==` is
+# `is` and a components tuple compares element by element by identity. Each
+# term computes its facts once, when it is first built, from its own fields and
+# its children's facts: the size, the colors (a mask of `_BIT` values), whether
+# it is countable and whether it is perfect. Its rendering is computed the
+# first time `pretty` asks.
 _BIT = {Color.PLANAR: 1, Color.GENUS: 2}
 _COLOR_SETS = tuple(frozenset(c for c in Color if mask & _BIT[c]) for mask in range(4))
 
 
-class _Node(_Frozen):
-    __slots__ = ("_hash", "_size", "_text", "_colors", "_countable", "_perfect")
+class _Node(_Interned):
+    __slots__ = ("_size", "_text", "_colors", "_countable", "_perfect")
 
-    def _seal(self, fields: tuple, kids=(), colors=0, countable=True, perfect=True):
+    def _seal(self, kids=(), colors=0, countable=True, perfect=True):
         size = 1
         for k in kids:
             size += k._size
@@ -78,103 +76,46 @@ class _Node(_Frozen):
             countable = countable and k._countable
             perfect = perfect and k._perfect
         set_ = _set
-        set_(self, "_hash", hash(fields))
         set_(self, "_size", size)
         set_(self, "_text", None)
         set_(self, "_colors", colors)
         set_(self, "_countable", countable)
         set_(self, "_perfect", perfect)
 
-    # each subclass names it again: a class body that defines `__eq__` and no
-    # `__hash__` makes its instances unhashable
-    def __hash__(self) -> int:
-        return self._hash
-
 
 class Pt(_Node):
     __slots__ = ("color",)
 
-    def __init__(self, color: Color = Color.PLANAR):
-        _set(self, "color", color)
-        self._seal((color,), colors=_BIT[color], perfect=False)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.color == other.color
-        return NotImplemented
-
-    __hash__ = _Node.__hash__
+    def __new__(cls, color: Color = Color.PLANAR):
+        return cls._make((color,), colors=_BIT[color], perfect=False)
 
 
 class Ord(_Node):
     __slots__ = ("rank", "degree")
 
-    def __init__(self, rank: Cnf, degree: int):
-        _set(self, "rank", rank)
-        _set(self, "degree", degree)
-        self._seal((rank, degree), colors=_BIT[Color.PLANAR], perfect=False)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rank == other.rank and self.degree == other.degree
-        return NotImplemented
-
-    __hash__ = _Node.__hash__
+    def __new__(cls, rank: Cnf, degree: int):
+        return cls._make((rank, degree), colors=_BIT[Color.PLANAR], perfect=False)
 
 
 class Mix(_Node):
     __slots__ = ("components", "limit_color")
 
-    def __init__(self, components: tuple, limit_color: Color):
-        _set(self, "components", components)
-        _set(self, "limit_color", limit_color)
-        self._seal((components, limit_color), components, _BIT[limit_color])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self._hash == other._hash
-                and self.components == other.components
-                and self.limit_color == other.limit_color
-            )
-        return NotImplemented
-
-    __hash__ = _Node.__hash__
+    def __new__(cls, components: tuple, limit_color: Color):
+        return cls._make((components, limit_color), components, _BIT[limit_color])
 
 
 class Cantor(_Node):
     __slots__ = ("components", "color")
 
-    def __init__(self, components: tuple = (), color: Color = Color.PLANAR):
-        _set(self, "components", components)
-        _set(self, "color", color)
-        self._seal((components, color), components, _BIT[color], countable=False)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self._hash == other._hash
-                and self.components == other.components
-                and self.color == other.color
-            )
-        return NotImplemented
-
-    __hash__ = _Node.__hash__
+    def __new__(cls, components: tuple = (), color: Color = Color.PLANAR):
+        return cls._make((components, color), components, _BIT[color], countable=False)
 
 
 class Sum(_Node):
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple):
-        _set(self, "parts", parts)
-        self._seal((parts,), parts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._hash == other._hash and self.parts == other.parts
-        return NotImplemented
-
-    __hash__ = _Node.__hash__
+    def __new__(cls, parts: tuple):
+        return cls._make((parts,), parts)
 
 
 Term = Union[Pt, Ord, Mix, Cantor, Sum]
@@ -344,5 +285,5 @@ def _cb(t: Term):
     # Sum: highest rank wins; degrees merge at the top rank
     ranked = [_cb(p) for p in t.parts]
     top = max(r for r, _ in ranked)
-    degree = sum(n for r, n in ranked if cmp(r, top) == 0)
+    degree = sum(n for r, n in ranked if r is top)
     return top, degree

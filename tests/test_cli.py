@@ -674,7 +674,7 @@ def test_the_deepest_accepted_inputs_run_through_the_engine(tmp_path, shape, com
     assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr, proc.stderr[-500:]
 
 
-# equal but distinct ordinals nested that deep compare in one frame per level
+# ordinals nested that deep, through certification and its replay
 _TOWER = _DEEPEST["rank-tower"](MAX_NESTING - 1)
 
 
@@ -721,3 +721,30 @@ def test_the_deepest_rank_finds_its_memoized_table(tmp_path, capsys):
     assert run(["verdict", f]) == 0
     assert run(["classify", f]) == 0  # the memo compares the two parsed terms
     assert capsys.readouterr().err == ""
+
+
+# runs one `python -m endscope` command and prints its exit code and
+# `ru_maxrss`; from a small process of its own, since a child's peak RSS
+# starts at the RSS of the process that forks it, and the test process is large
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "endscope", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kb(argv) -> int:
+    proc = _python(["-c", _PEAK_RSS, *argv])
+    code, kb = proc.stdout.split()
+    assert int(code) in (0, 1, 2), (argv, proc.stderr)
+    return int(kb)
+
+
+def test_classify_of_a_rank_tower_peaks_near_its_verdict(tmp_path):
+    # JSON goes out as a stream, so `classify`, which prints 8 MB here, peaks
+    # at 1.5 times `verdict`, which prints 28 kB; built as one string, the
+    # text made it 4.1 times
+    f = _write(tmp_path, "tower.txt", "ord(w^(400))")
+    assert _peak_rss_kb(["classify", f]) <= 2 * _peak_rss_kb(["verdict", f])
