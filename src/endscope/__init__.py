@@ -19,13 +19,16 @@ _set = object.__setattr__
 
 class _Frozen:
     """Base of the package's immutable value classes: assigning or deleting
-    an attribute raises AttributeError, and `==`, `hash` and `repr` are those
-    a frozen dataclass generates over `_fields`. The hash is hash(field
-    tuple): the order of sets and dicts of values, which reaches the output,
-    follows it. `_fields` defaults to the class's own `__slots__` names that
-    do not start with `_`. `_Interned` below makes equal values one object,
-    so that `==` is `is`. Both live here, not in a submodule, so that the
-    modules that import no other module of the package share them too."""
+    an attribute raises AttributeError, and the constructor, `==`, `hash`
+    and `repr` are those a frozen dataclass generates over `_fields`. The
+    hash is hash(field tuple): the order of sets and dicts of values, which
+    reaches the output, follows it. `_fields` defaults to the class's own
+    `__slots__` names that do not start with `_`; `_defaults` maps trailing
+    fields to the constructor's defaults. A class that builds in its own
+    `__init__` or `__new__` keeps it. `_Interned` below makes equal values
+    one object, so that `==` is `is`. Both live here, not in a submodule, so
+    that the modules that import no other module of the package share them
+    too."""
 
     __slots__ = ()
 
@@ -37,6 +40,8 @@ class _Frozen:
         get = attrgetter(*fields) if fields else lambda x: ()
         # attrgetter of one name returns the bare value, not a 1-tuple
         cls._key = staticmethod(get if len(fields) != 1 else lambda x: (get(x),))
+        if fields and "__init__" not in cls.__dict__ and "__new__" not in cls.__dict__:
+            cls.__init__ = _constructor(cls)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -56,6 +61,23 @@ class _Frozen:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({shown})"
+
+
+def _constructor(cls):
+    """`__init__(self, <fields>)` of `cls`, setting each field: compiled from
+    source once per class, as `collections.namedtuple` builds its `__new__`,
+    so that a call binds its arguments as fast as a hand-written one."""
+    fields, defaults = cls._fields, cls.__dict__.get("_defaults", {})
+    if set(defaults) != set(fields[len(fields) - len(defaults):]):
+        raise TypeError(f"{cls.__qualname__}: only trailing fields take defaults")
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+    namespace = {"_set": _set}
+    exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults[name] for name in fields if name in defaults) or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 class _Interned(_Frozen):

@@ -156,28 +156,30 @@ def _class_entries(v) -> list:
     return out
 
 
+def _normal_form(obj):
+    """The normal form of a term or surface, as text; None for a table."""
+    from .normalize import normalize
+    from .terms import SurfaceDescriptor, Term, pretty, pretty_surface
+
+    if isinstance(obj, SurfaceDescriptor):
+        return pretty_surface(SurfaceDescriptor(obj.genus, normalize(obj.ends)))
+    if isinstance(obj, Term):
+        return pretty(normalize(obj))
+    return None
+
+
 def _report(text: str, obj) -> dict:
     import hashlib
 
-    from .normalize import normalize
-    from .terms import SurfaceDescriptor, Term, pretty, pretty_surface
     from .verdict import stone_verdict, surface_verdict
 
     v = surface_verdict(obj) if _is_surface(obj) else stone_verdict(obj)
-    if isinstance(obj, SurfaceDescriptor):
-        normalized = pretty_surface(
-            SurfaceDescriptor(obj.genus, normalize(obj.ends))
-        )
-    elif isinstance(obj, Term):
-        normalized = pretty(normalize(obj))
-    else:
-        normalized = None
     return {
         "schema": 1,
         "version": __version__,
         "input": text,
         "input_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "normalized": normalized,
+        "normalized": _normal_form(obj),
         "classes": _class_entries(v),
         "verdict": {"ac": v.ac, "basis": v.basis, "witness": v.witness},
         "notes": list(v.notes),
@@ -251,16 +253,10 @@ def _cmd_parse(args) -> int:
 
 @_reads_input
 def _cmd_normalize(args) -> int:
-    from .normalize import normalize
-    from .terms import SurfaceDescriptor, Term, pretty, pretty_surface
-
-    obj = _load(_read(args.file))
-    if isinstance(obj, SurfaceDescriptor):
-        print(pretty_surface(SurfaceDescriptor(obj.genus, normalize(obj.ends))))
-    elif isinstance(obj, Term):
-        print(pretty(normalize(obj)))
-    else:
+    text = _normal_form(_load(_read(args.file)))
+    if text is None:
         raise _CliError("germ tables have no normal form; pass a term", EXIT_INPUT)
+    print(text)
     return 0
 
 

@@ -8,25 +8,16 @@ constants` loads none of it.
 
 from __future__ import annotations
 
-from . import _Frozen, _set
+from . import _Frozen
 
 
 class DagNode(_Frozen):
+    # compute: callable over dep values, or None for proof-only nodes
     __slots__ = ("name", "deps", "compute", "note")
-
-    def __init__(self, name: str, deps: tuple, compute, note: str):
-        _set(self, "name", name)
-        _set(self, "deps", deps)
-        _set(self, "compute", compute)  # callable over dep values, or None for proof-only nodes
-        _set(self, "note", note)
 
 
 class ExponentDag(_Frozen):
     __slots__ = ("nodes", "values")
-
-    def __init__(self, nodes: tuple, values: dict):
-        _set(self, "nodes", nodes)
-        _set(self, "values", values)
 
     def value(self, name: str):
         return self.values[name]

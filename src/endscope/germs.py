@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from functools import cached_property, cmp_to_key, lru_cache
 
-from . import _Frozen, _set
+from . import _Frozen
 from .normalize import _absorb_pass, fixpoint, normalize_structural
 from .ordinals import Cnf, ONE, ZERO, add, cmp, print_cnf
 from .parser import LexError, ParseError, parse_cnf
@@ -80,11 +80,10 @@ class Kind(_Frozen):
     """How many points of a class one region holds: `count`, countably many,
     or a Cantor set. `str` is the JSON spelling; `+` the kind of a union."""
 
+    # name: "finite" | "countable_discrete" | "cantor"
+    # count: points of a finite kind
     __slots__ = ("name", "count")
-
-    def __init__(self, name: str, count: int = 0):
-        _set(self, "name", name)  # "finite" | "countable_discrete" | "cantor"
-        _set(self, "count", count)  # points of a finite kind
+    _defaults = {"count": 0}
 
     @property
     def is_finite(self) -> bool:
@@ -112,38 +111,16 @@ class GermClass(_Frozen):
     `family_bound` is the exclusive bound of the symbolic family row."""
 
     __slots__ = ("id", "kind", "color", "germ", "rank", "family", "family_bound")
-
-    def __init__(
-        self,
-        id: str,
-        kind: Kind,
-        color: Color,
-        germ: Term = None,
-        rank: Cnf = None,
-        family: bool = False,
-        family_bound: Cnf = None,
-    ):
-        _set(self, "id", id)
-        _set(self, "kind", kind)
-        _set(self, "color", color)
-        _set(self, "germ", germ)
-        _set(self, "rank", rank)
-        _set(self, "family", family)
-        _set(self, "family_bound", family_bound)
+    _defaults = {"germ": None, "rank": None, "family": False, "family_bound": None}
 
 
 class Successor(_Frozen):
-    __slots__ = ("preds",)
-
-    def __init__(self, preds: tuple):
-        _set(self, "preds", preds)  # class ids, finite, maximal and covering
+    __slots__ = ("preds",)  # class ids, finite, maximal and covering
 
 
 class NotSuccessor(_Frozen):
     __slots__ = ("reason",)
-
-    def __init__(self, reason: str = ""):
-        _set(self, "reason", reason)
+    _defaults = {"reason": ""}
 
 
 DERIVED = "derived-from-term"
@@ -153,43 +130,15 @@ class GermTable(_Frozen):
     """The classes of a space: `classes` holds the `GermClass` rows sorted by
     id. The relations are one bitmask per row, over row indices: bit x of
     `up[y]` is set when (y, x) is in `leq`, and bit x of `acc_out[z]` when
-    (z, x) is in `acc`. `leq` and `acc` build those pair sets on every read,
-    so that no table, memoized ones included, stores them. Its instances
-    keep a `__dict__`, where the cached properties below store their values.
+    (z, x) is in `acc`. The fields, and so the constructor's parameters,
+    `==`, `hash` and `repr`, are those masks; `_table` closes them, and
+    `_masks` turns id pairs into them. `leq` and `acc` build the pair sets
+    on every read, so that no table, memoized ones included, stores them.
+    Its instances keep a `__dict__`, where the cached properties below store
+    their values, so it names its `_fields` itself."""
 
-    The constructor takes the pairs, as the fields read; the engine builds
-    its tables from masks through `from_masks`. Having no `__slots__`, it
-    names its `_fields`: the constructor's parameters, so `==`, `hash` and
-    `repr` read the pair sets."""
-
-    _fields = ("classes", "leq", "acc", "origin", "surface")
-
-    def __init__(
-        self,
-        classes: tuple,
-        leq,
-        acc,
-        origin: str = DERIVED,
-        surface: bool = False,
-    ):
-        pos = {c.id: i for i, c in enumerate(classes)}
-        self._fill(classes, _masks(pos, leq), _masks(pos, acc), origin, surface)
-
-    @classmethod
-    def from_masks(
-        cls, classes: tuple, up: tuple, acc_out: tuple, origin: str = DERIVED,
-        surface: bool = False,
-    ) -> GermTable:
-        table = cls.__new__(cls)
-        table._fill(classes, up, acc_out, origin, surface)
-        return table
-
-    def _fill(self, classes, up, acc_out, origin, surface):
-        _set(self, "classes", classes)
-        _set(self, "up", up)
-        _set(self, "acc_out", acc_out)
-        _set(self, "origin", origin)
-        _set(self, "surface", surface)
+    _fields = ("classes", "up", "acc_out", "origin", "surface")
+    _defaults = {"origin": DERIVED, "surface": False}
 
     @property
     def leq(self) -> frozenset:
@@ -290,9 +239,6 @@ class Member(_Frozen):
     kind = COUNTABLE
     color = Color.PLANAR
     family = False
-
-    def __init__(self, rank: Cnf):
-        _set(self, "rank", rank)
 
     @property
     def id(self) -> str:
@@ -412,11 +358,7 @@ class _Classes(_Frozen):
     canonical non-rank germ, and the exclusive family bound (None or >= w)."""
 
     __slots__ = ("ranks", "germs", "bound")
-
-    def __init__(self, ranks: dict, germs: dict, bound: Cnf = None):
-        _set(self, "ranks", ranks)
-        _set(self, "germs", germs)
-        _set(self, "bound", bound)
+    _defaults = {"bound": None}
 
 
 def _union(sets) -> _Classes:
@@ -675,10 +617,10 @@ def _table(rows: tuple, up, acc, **kw) -> GermTable:
     """The table of `rows`, sorted by id, with `acc` closed and `leq` the
     closure of `leq | acc` and the identity: accumulation onto x makes the
     accumulating class embed into every neighborhood of x. `up` and `acc`
-    are bitmask rows over `rows`; `kw` goes to `GermTable.from_masks`."""
+    are bitmask rows over `rows`; `kw` goes to `GermTable`."""
     acc = _close(acc)
     up = _close([u | a | 1 << i for i, (u, a) in enumerate(zip(up, acc))])
-    return GermTable.from_masks(rows, up, acc, **kw)
+    return GermTable(rows, up, acc, **kw)
 
 
 def _close(rows) -> tuple:

@@ -66,7 +66,7 @@ def _pass(t: Term) -> Term:
     if isinstance(t, Ord):
         return t
     if isinstance(t, Mix):
-        comps = _dedup(_splice_sums(_pass(c) for c in t.components))
+        comps = list(dict.fromkeys(_splice_sums(_pass(c) for c in t.components)))
         return _collapse(mk_mix(comps, t.limit_color))
     if isinstance(t, Cantor):
         comps = []
@@ -76,7 +76,7 @@ def _pass(t: Term) -> Term:
                 comps.extend(c.components)
             else:
                 comps.append(c)
-        return _collapse(mk_cantor(_dedup(comps), t.color))
+        return _collapse(mk_cantor(list(dict.fromkeys(comps)), t.color))
     parts = _splice_sums(_pass(p) for p in t.parts)  # R1
     if len(parts) == 1:
         return parts[0]
@@ -91,15 +91,6 @@ def _splice_sums(comps) -> list:
         if isinstance(c, Sum):
             out.extend(c.parts)
         else:
-            out.append(c)
-    return out
-
-
-def _dedup(comps) -> list:
-    seen, out = set(), []
-    for c in comps:
-        if c not in seen:
-            seen.add(c)
             out.append(c)
     return out
 

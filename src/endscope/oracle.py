@@ -87,15 +87,6 @@ def _hidden(t: Term, memo: dict) -> tuple:
     return out
 
 
-def _distinct(comps):
-    seen, out = set(), []
-    for c in comps:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # invariant bundles and comparison
 
@@ -209,13 +200,13 @@ def _fold(t: Term, d: int, memo: dict) -> _Facts:
     elif isinstance(t, Mix):
         if d > 0:
             group = _NONE
-            for c in _distinct(t.components):
+            for c in dict.fromkeys(t.components):
                 group = _join(group, _fold(c, d - 1, memo))
             f = _node(t.limit_color, "point", _times(group, d))
         else:
             f = _node(t.limit_color, "deep", _NONE, _hidden(t, memo))
     elif isinstance(t, Cantor):
-        f = _fold_cantor(tuple(_distinct(t.components)), t.color, d, memo)
+        f = _fold_cantor(tuple(dict.fromkeys(t.components)), t.color, d, memo)
     else:
         f = _NONE
         for p in t.parts:

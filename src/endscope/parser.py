@@ -17,7 +17,7 @@ input is a ParseError, not a recursion overflow.
 
 from __future__ import annotations
 
-from . import _Frozen, _set
+from . import _Frozen
 from .ordinals import Cnf, add, from_nat, mul_nat, omega_pow
 from .terms import (
     Color,
@@ -48,13 +48,8 @@ MAX_DIGITS = 4300  # the most decimal digits int() reads by default
 
 
 class Token(_Frozen):
+    # kind: "name" | "nat" | one of SYMBOLS
     __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        _set(self, "kind", kind)  # "name" | "nat" | one of SYMBOLS
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "col", col)
 
 
 def lex(text: str) -> list:

@@ -51,13 +51,11 @@ DEFAULT_DEPTH = 20
 
 
 class Decomposition(_Frozen):
+    # shape: "degenerate" | "rounds" | "shells" | "rank-blocks"
+    # germ: neighborhood type U of the basepoint (None for degenerate Pt)
+    # rank: for rank-blocks
     __slots__ = ("basepoint", "shape", "germ", "rank")
-
-    def __init__(self, basepoint: str, shape: str, germ: Term, rank: Cnf = None):
-        _set(self, "basepoint", basepoint)
-        _set(self, "shape", shape)  # "degenerate" | "rounds" | "shells" | "rank-blocks"
-        _set(self, "germ", germ)  # neighborhood type U of the basepoint (None for degenerate Pt)
-        _set(self, "rank", rank)  # for rank-blocks
+    _defaults = {"rank": None}
 
     def piece(self, k: int):
         """Term of the k-th clopen piece Y_k (1-based); None when degenerate."""
@@ -79,24 +77,16 @@ class Decomposition(_Frozen):
 class Stable(_Frozen):
     __slots__ = ("decomposition",)
 
-    def __init__(self, decomposition: Decomposition):
-        _set(self, "decomposition", decomposition)
-
 
 # `certify` prints the repr of an `Unstable` or `Unknown` result when it
 # refuses a class
 class Unstable(_Frozen):
     __slots__ = ("obstruction",)
 
-    def __init__(self, obstruction: str):
-        _set(self, "obstruction", obstruction)
-
 
 class Unknown(_Frozen):
     __slots__ = ("note",)
-
-    def __init__(self, note: str = ""):
-        _set(self, "note", note)
+    _defaults = {"note": ""}
 
 
 def stable_nbhd(table: GermTable, x: str):
@@ -264,9 +254,6 @@ def _u_of_row(r: int) -> int:
 class ShiftRecipe(_Frozen):
     __slots__ = ("brick",)
 
-    def __init__(self, brick: Brick):
-        _set(self, "brick", brick)
-
     def coords(self, x: int):
         """Position (row, column) of index x; the brick occupies row 0."""
         if self.brick.member(x):
@@ -319,22 +306,15 @@ def check_shift(recipe: ShiftRecipe, depth: int = DEFAULT_DEPTH) -> list:
 
 
 class Annulus(_Frozen):
+    # contents: germ class ids present in the annulus
+    # term: end-space content; None for empty annuli
     __slots__ = ("index", "contents", "genus", "term")
-
-    def __init__(self, index: int, contents: tuple, genus: bool, term: Term = None):
-        _set(self, "index", index)
-        _set(self, "contents", contents)  # germ class ids present in the annulus
-        _set(self, "genus", genus)
-        _set(self, "term", term)  # end-space content; None for empty annuli
+    _defaults = {"term": None}
 
 
 class AnnulusDecomposition(_Frozen):
+    # case: telescoping case that produced the decomposition
     __slots__ = ("basepoint", "case", "annuli")
-
-    def __init__(self, basepoint: str, case: str, annuli: tuple):
-        _set(self, "basepoint", basepoint)
-        _set(self, "case", case)  # telescoping case that produced the decomposition
-        _set(self, "annuli", annuli)
 
 
 def annuli(s, x: str, depth: int = DEFAULT_DEPTH) -> AnnulusDecomposition:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from . import _Frozen, _set
+from . import _Frozen
 
 
 class BadSupport(ValueError):
@@ -75,10 +75,7 @@ class SlotWord(_Frozen):
     where `_words` stores its value, so it names its `_fields` itself.
     """
 
-    _fields = ("assignment",)
-
-    def __init__(self, assignment: tuple):
-        _set(self, "assignment", assignment)  # sorted tuple of (slot, word) pairs, words nonempty
+    _fields = ("assignment",)  # sorted tuple of (slot, word) pairs, words nonempty
 
     @cached_property
     def _words(self) -> dict:
@@ -121,10 +118,6 @@ def sw_mul(a: SlotWord, b: SlotWord) -> SlotWord:
 
 class _ShiftElem(_Frozen):
     __slots__ = ("shift", "words")
-
-    def __init__(self, shift: int, words: SlotWord):
-        _set(self, "shift", shift)
-        _set(self, "words", words)
 
 
 def _e_mul(a: _ShiftElem, b: _ShiftElem) -> _ShiftElem:
@@ -229,11 +222,9 @@ class SlotLayout(_Frozen):
     """An ordered slot list: red slots, blue blocks, and the separator slots
     between them, which are in neither."""
 
+    # red: slot indices of the red letters, in order
+    # blue_blocks: (inverse-half slots, positive-half slots) per block
     __slots__ = ("red", "blue_blocks")
-
-    def __init__(self, red: tuple, blue_blocks: tuple):
-        _set(self, "red", red)  # slot indices of the red letters, in order
-        _set(self, "blue_blocks", blue_blocks)  # (inverse-half slots, positive-half slots) per block
 
     def separators_ok(self) -> bool:
         groups = self.red + tuple(

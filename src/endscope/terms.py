@@ -124,11 +124,8 @@ INF = "inf"
 
 
 class SurfaceDescriptor(_Frozen):
+    # genus: natural number or INF
     __slots__ = ("genus", "ends")
-
-    def __init__(self, genus, ends: Term):
-        _set(self, "genus", genus)  # natural number or INF
-        _set(self, "ends", ends)
 
 
 # ---------------------------------------------------------------------------

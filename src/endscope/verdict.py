@@ -19,7 +19,7 @@ genus-isolation clause (it constrains genus-colored ends only).
 
 from __future__ import annotations
 
-from . import _Frozen, _set
+from . import _Frozen
 from .germs import (
     CANTOR,
     GermTable,
@@ -56,13 +56,11 @@ WITNESSES = {
 
 
 class TelescopingResult(_Frozen):
+    # status: "telescoping" | "not_telescoping"
+    # case: "i" | "ii" | "iii"
+    # failure: "F1" | "F2" | "F3"
     __slots__ = ("id", "status", "case", "failure")
-
-    def __init__(self, id: str, status: str, case: str = None, failure: str = None):
-        _set(self, "id", id)
-        _set(self, "status", status)  # "telescoping" | "not_telescoping"
-        _set(self, "case", case)  # "i" | "ii" | "iii"
-        _set(self, "failure", failure)  # "F1" | "F2" | "F3"
+    _defaults = {"case": None, "failure": None}
 
 
 class Verdict(_Frozen):
@@ -70,25 +68,10 @@ class Verdict(_Frozen):
     result and `stability` the `stable_nbhd` result of each row of `table`,
     in table order."""
 
+    # ac: "holds" | "fails" | "unknown"
     __slots__ = ("ac", "basis", "per_class", "witness", "notes", "table", "stability")
-
-    def __init__(
-        self,
-        ac: str,
-        basis: str,
-        per_class: tuple,
-        witness: str = None,
-        notes: tuple = (CASE_NOTE, EQUIV_NOTE),
-        table: GermTable = None,
-        stability: tuple = None,
-    ):
-        _set(self, "ac", ac)  # "holds" | "fails" | "unknown"
-        _set(self, "basis", basis)
-        _set(self, "per_class", per_class)
-        _set(self, "witness", witness)
-        _set(self, "notes", notes)
-        _set(self, "table", table)
-        _set(self, "stability", stability)
+    _defaults = {"witness": None, "notes": (CASE_NOTE, EQUIV_NOTE), "table": None,
+                 "stability": None}
 
 
 def telescoping(table: GermTable, x: str, surface_context: bool = True) -> TelescopingResult:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from endscope.oracle import _PLANAR, _bundle, _distinct, _fold, _hidden, sample_nodes
+from endscope.oracle import _PLANAR, _bundle, _fold, _hidden, sample_nodes
 from endscope.ordinals import Cnf, fundamental
 from endscope.terms import Cantor, Color, Mix, NotCountable, Ord, Pt, Term
 
@@ -67,14 +67,14 @@ def _forest(t: Term, d: int, memo: dict) -> list:
                 hidden_iso=iso,
                 hidden_dust=dust,
             )
-        distinct = _distinct(t.components)
+        distinct = list(dict.fromkeys(t.components))
         for _ in range(d):
             node.groups.append(
                 [n for c in distinct for n in _forest(c, d - 1, memo)]
             )
         return [node]
     if isinstance(t, Cantor):
-        return [_cantor_node(_distinct(t.components), t.color, d, memo)]
+        return [_cantor_node(list(dict.fromkeys(t.components)), t.color, d, memo)]
     out = []
     for p in t.parts:
         out.extend(_forest(p, d, memo))

@@ -534,7 +534,9 @@ def _ref_table(rows, leq, acc) -> GermTable:
     """The table of `rows`, closing the pair sets as `_table` did."""
     acc = _ref_close(acc)
     leq = _ref_close(set(leq) | acc | {(r.id, r.id) for r in rows})
-    return GermTable(tuple(sorted(rows, key=lambda r: r.id)), leq, acc)
+    rows = tuple(sorted(rows, key=lambda r: r.id))
+    pos = {r.id: i for i, r in enumerate(rows)}
+    return GermTable(rows, _masks(pos, leq), _masks(pos, acc))
 
 
 # terms whose collected rows merge, which few random terms of budget 5 do

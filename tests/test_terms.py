@@ -1,5 +1,7 @@
 import ast
+import inspect
 import json
+import re
 from dataclasses import make_dataclass
 from pathlib import Path
 
@@ -175,7 +177,7 @@ _FIELDS = {
     GermClass: ("id", "kind", "color", "germ", "rank", "family", "family_bound"),
     Successor: ("preds",),
     NotSuccessor: ("reason",),
-    GermTable: ("classes", "leq", "acc", "origin", "surface"),
+    GermTable: ("classes", "up", "acc_out", "origin", "surface"),
     Member: ("rank",),
     germs._Classes: ("ranks", "germs", "bound"),
     # stability and verdicts
@@ -456,18 +458,39 @@ def test_every_value_class_is_immutable():
                 delattr(x, name)
 
 
-# `_Frozen` owns `==`, `hash` and `repr`, and `_Interned` makes `==` identity
-# over the hash it stores; `Cnf` keeps its own `Cnf<...>` repr, and only that
+# `_Frozen` owns the constructor, `==`, `hash` and `repr`, and `_Interned`
+# makes `==` identity over the hash it stores; `Cnf` keeps its own `Cnf<...>`
+# repr, and only that, and `Brick` its own constructor, which checks bricks
+# read from certificates
 _OWN_VALUE_METHODS = {"_Frozen": {"__eq__", "__hash__", "__repr__"},
-                      "_Interned": {"__eq__", "__hash__"}, "Cnf": {"__repr__"}}
+                      "_Interned": {"__eq__", "__hash__"}, "Cnf": {"__repr__"},
+                      "Brick": {"__init__"}}
+
+
+def _frozen_class_names(trees) -> set:
+    """The names of `_Frozen` and of the classes in `trees` that derive from
+    it, read off the base names."""
+    bases = {cls.name: {b.id for b in cls.bases if isinstance(b, ast.Name)}
+             for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)}
+    frozen = {"_Frozen"}
+    while more := {name for name, names in bases.items() if names & frozen} - frozen:
+        frozen |= more
+    return frozen
 
 
 def test_only_frozen_and_the_fast_paths_define_value_methods():
+    paths = sorted(Path(endscope.__file__).parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    frozen = _frozen_class_names(trees.values())
+    assert {"Token", "GermTable", "Verdict", "Brick", "Pt", "Cnf"} <= frozen
     found = set()
-    for path in sorted(Path(endscope.__file__).parent.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
+            checked = {"__eq__", "__hash__", "__repr__"}
+            if cls.name in frozen:
+                checked.add("__init__")
             own = _OWN_VALUE_METHODS.get(cls.name, set())
             for item in cls.body:
                 if isinstance(item, ast.FunctionDef):
@@ -476,6 +499,33 @@ def test_only_frozen_and_the_fast_paths_define_value_methods():
                     names = {t.id for t in item.targets if isinstance(t, ast.Name)}
                 else:
                     continue
-                for name in names & {"__eq__", "__hash__", "__repr__"} - own:
+                for name in names & checked - own:
                     found.add(f"{path.name}:{item.lineno} {cls.name}.{name}")
     assert not found, sorted(found)
+
+
+# the classes that build in a constructor of their own: the terms and `Cnf`
+# in `__new__`, through the intern table, and `Brick`
+_OWN_CONSTRUCTORS = {Pt, Ord, Mix, Cantor, Sum, Cnf, Brick}
+
+
+def test_generated_constructors_take_the_fields_in_order():
+    for x in _every_value_class():
+        cls, fields = type(x), _field_tuple(x)
+        params = inspect.signature(cls).parameters.values()
+        assert [p.name for p in params] == list(cls._fields) == list(_FIELDS[cls]), cls
+        by_name = cls(**dict(zip(cls._fields, fields)))
+        assert by_name == cls(*fields) and _field_tuple(by_name) == fields, cls
+        if cls in _OWN_CONSTRUCTORS:
+            continue
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        assert defaults == getattr(cls, "_defaults", {}), cls
+        required = len(fields) - len(defaults)
+        assert _field_tuple(cls(*fields[:required])) == fields[:required] + tuple(
+            defaults[name] for name in cls._fields[required:]), cls
+        init = f"{cls.__qualname__}.__init__()"
+        with pytest.raises(TypeError, match=re.escape(f"{init} got an unexpected keyword")):
+            cls(*fields, unknown_field=None)
+        if required:
+            with pytest.raises(TypeError, match=re.escape(f"{init} missing {required} required")):
+                cls()
