@@ -5,7 +5,9 @@ slot carries a reduced word over free generators 1..d (negative integers are
 inverse letters), and an optional constant slot shift models the permutation
 part. All infinite products are verified on a finite window; discrepancies
 can occur only within one brick width of the window edge, so window edges are
-excluded from every assertion.
+excluded from every assertion. For `anderson` the window is the depth+1 rows
+that u carries, every one checked; the edge is the next row, where the
+truncated stack leaves h's inverse.
 
 Contents:
 
@@ -114,32 +116,40 @@ def sw_mul(a: SlotWord, b: SlotWord) -> SlotWord:
 
 # ---------------------------------------------------------------------------
 # elements with a constant shift (permutation part s -> s + k)
+#
+# An element is a pair (k, words): k is the shift and words maps each slot of
+# its support to a reduced nonempty word. Products keep the words reduced and
+# nonempty, so no word is reduced twice and no support is sorted.
 
 
-class _ShiftElem(_Frozen):
-    __slots__ = ("shift", "words")
+def _mul2(a: tuple, b: tuple) -> tuple:
+    """reduce_word(a + b) for reduced a and b: only the junction cancels."""
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == -b[k]:
+        k += 1
+    return a[: len(a) - k] + b[k:]
 
 
-def _e_mul(a: _ShiftElem, b: _ShiftElem) -> _ShiftElem:
+def _e_mul(a: tuple, b: tuple) -> tuple:
     # (a.b) acts as a after b; the word at s is a's word there times b's word
     # pulled back through a's permutation
-    out = {}
-    support = set(a.words.support()) | {
-        s + a.shift for s in b.words.support()
-    }
-    for s in support:
-        out[s] = word_mul(a.words.word_at(s), b.words.word_at(s - a.shift))
-    return _ShiftElem(a.shift + b.shift, slot_word(out))
+    k, out = a[0], dict(a[1])
+    for s, w in b[1].items():
+        s += k
+        p = _mul2(out.get(s, ()), w)
+        if p:
+            out[s] = p
+        else:
+            del out[s]
+    return k + b[0], out
 
 
-def _e_inv(a: _ShiftElem) -> _ShiftElem:
-    out = {
-        s - a.shift: word_inv(w) for s, w in a.words.assignment
-    }
-    return _ShiftElem(-a.shift, slot_word(out))
+def _e_inv(a: tuple) -> tuple:
+    k = a[0]
+    return -k, {s - k: word_inv(w) for s, w in a[1].items()}
 
 
-def _e_commutator(a: _ShiftElem, b: _ShiftElem) -> _ShiftElem:
+def _e_commutator(a: tuple, b: tuple) -> tuple:
     return _e_mul(_e_mul(a, b), _e_mul(_e_inv(a), _e_inv(b)))
 
 
@@ -151,21 +161,21 @@ def anderson(h: SlotWord, depth: int):
     """Write h as the commutator [u, v] of a stacked product and a shift.
 
     h must live on the base brick row (slots 0 .. width-1). v shifts by one
-    row; u carries a copy of h on each of the first depth+1 rows. Returns
-    (u, v, check) where v is the shift amount and check reports whether
-    [u, v] agrees with h on every slot in [0, depth).
+    row; u carries a copy of h on each of the first depth+1 rows (0 .. depth).
+    Returns (u, v, check) where v is the shift amount and check reports
+    whether [u, v] agrees with h on every row u carries: h on row 0 and the
+    identity on rows 1 .. depth. The edge row depth+1, where the truncated
+    stack leaves h's inverse, is the one row not checked.
     """
     if any(s < 0 for s in h.support()):
         raise BadSupport("h must be supported on the base row (slots >= 0)")
     width = max(h.support(), default=0) + 1
-    stacked = {}
-    for i in range(depth + 1):
-        for s, w in h.assignment:
-            stacked[s + i * width] = w
-    u = slot_word(stacked)
-    comm = _e_commutator(_ShiftElem(0, u), _ShiftElem(width, EMPTY))
-    check = comm.shift == 0 and all(
-        comm.words.word_at(s) == h.word_at(s) for s in range(depth)
+    base = slot_word(h.assignment).assignment
+    # every slot of base is below width, so the rows come out sorted
+    u = SlotWord(tuple((s + i * width, w) for i in range(depth + 1) for s, w in base))
+    shift, words = _e_commutator((0, dict(u.assignment)), (width, {}))
+    check = shift == 0 and all(
+        words.get(s, ()) == h.word_at(s) for s in range((depth + 1) * width)
     )
     return u, width, check
 

@@ -6,11 +6,13 @@ a strict marker turns into a failure until the fix also removes the marker;
 the test then stays as the fix's regression test. Open lines that are not
 here yet: R3 and the family row, whose right answers wait on ROADMAP items 2
 and 6; the slow refusals, which wait on item 16's work budget; and the
-isolated counts in Cantor dust, the `check_annuli` unions, the left-nested
-mix and the predecessor walk.
+isolated counts in Cantor dust, the `check_annuli` unions and the
+left-nested mix.
 """
 
+import cProfile
 import json
+import pstats
 
 import pytest
 
@@ -79,3 +81,26 @@ def test_a_class_inside_a_rewritten_germ_accumulates_onto_it(tmp_path, capsys):
 def test_the_oracle_compares_a_cantor_set_at_depth_20(capsys):
     assert run(["oracle", "--compare", "cantor()", "cantor()", "--depth", "20"]) == 0
     assert capsys.readouterr() == ("same up to depth 20\n", "")
+
+
+def _bits_steps(tmp_path, capsys, n: int) -> int:
+    """The `germs._bits` steps (cProfile call counts) of `verdict` of ord(w^(n))."""
+    f = tmp_path / f"ord{n}.txt"
+    f.write_text(f"ord(w^({n}))")
+    prof = cProfile.Profile()
+    assert prof.runcall(run, ["verdict", str(f)]) == 0
+    capsys.readouterr()
+    stats = pstats.Stats(prof).stats
+    return sum(v[1] for (path, _, name), v in stats.items()
+               if name == "_bits" and path.endswith("germs.py"))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: `verdict` of `ord(w^(n))` still walks every row below each class: "
+    "`germs._maximal_among` tests each bit of the class's `strict_down` mask against "
+    "`strict_up`, so the predecessors of n rank rows cost about n²/2 Python steps. cProfile "
+    "of `verdict` of `ord(w^(800))` (0.43 s unprofiled): 322,800 `germs._bits` steps, the "
+    "top entry, nearly all from `_maximal_among`"))
+def test_the_predecessor_walk_grows_at_most_linearly_in_the_rank_rows(tmp_path, capsys):
+    steps = [_bits_steps(tmp_path, capsys, n) for n in (100, 200, 400)]
+    assert all(b <= 2.5 * a for a, b in zip(steps, steps[1:])), steps

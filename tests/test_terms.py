@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from catalog import catalog, cnfs, random_terms, raw_terms
 import endscope
-from endscope import germs, swindle
+from endscope import germs
 from endscope.examples_builtin import EXAMPLES
 from endscope.exponents import DagNode, ExponentDag, constants
 from endscope.germs import (
@@ -195,7 +195,6 @@ _FIELDS = {
     ExponentDag: ("nodes", "values"),
     # commutator checks
     SlotWord: ("assignment",),
-    swindle._ShiftElem: ("shift", "words"),
     SlotLayout: ("red", "blue_blocks"),
 }
 
@@ -442,7 +441,7 @@ def _every_value_class() -> list:
         NotSuccessor("none"), table, Member(ONE), germs._classes(surface.ends, False),
         stable, stable.decomposition, stable_nbhd(user, "Linf"), stable_nbhd(user, "p"),
         Brick(), shift(Brick()), dec, dec.annuli[0], telescoping(table, "cantor()"),
-        surface_verdict(surface), dag, dag.nodes[0], h1, swindle._ShiftElem(0, h1), layout,
+        surface_verdict(surface), dag, dag.nodes[0], h1, layout,
     ]
 
 
