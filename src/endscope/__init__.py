@@ -20,15 +20,15 @@ _set = object.__setattr__
 class _Frozen:
     """Base of the package's immutable value classes: assigning or deleting
     an attribute raises AttributeError, and the constructor, `==`, `hash`
-    and `repr` are those a frozen dataclass generates over `_fields`. The
-    hash is hash(field tuple): the order of sets and dicts of values, which
-    reaches the output, follows it. `_fields` defaults to the class's own
-    `__slots__` names that do not start with `_`; `_defaults` maps trailing
-    fields to the constructor's defaults. A class that builds in its own
-    `__init__` or `__new__` keeps it. `_Interned` below makes equal values
-    one object, so that `==` is `is`. Both live here, not in a submodule, so
-    that the modules that import no other module of the package share them
-    too."""
+    and `repr` are those a frozen dataclass generates over `_fields`; the
+    hash is hash(field tuple). No output reads a hash: every output order is
+    an explicit sort, and a set or dict of values is never iterated into
+    output. `_fields` defaults to the class's own `__slots__` names that do
+    not start with `_`; `_defaults` maps trailing fields to the constructor's
+    defaults. A class that builds in its own `__init__` or `__new__` keeps
+    it. `_Interned` below makes equal values one object, so that `==` is
+    `is`. Both live here, not in a submodule, so that the modules that import
+    no other module of the package share them too."""
 
     __slots__ = ()
 
@@ -82,13 +82,13 @@ def _constructor(cls):
 
 class _Interned(_Frozen):
     """A `_Frozen` value that exists once: building one whose fields equal
-    those of a live value returns that value, so `==` is `is` and the hash,
-    hash(field tuple), is computed once. The table holds its values weakly,
-    so a value dies when nothing else holds it; a table that evicted live
-    values would let two equal ones exist. Subclasses build in `__new__`
-    through `_make` and have no `__init__`, so a hit costs one lookup."""
+    those of a live value returns that value, so `==` is `is` and the hash
+    is the identity hash. The table holds its values weakly, so a value dies
+    when nothing else holds it; a table that evicted live values would let
+    two equal ones exist. Subclasses build in `__new__` through `_make` and
+    have no `__init__`, so a hit costs one lookup."""
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
     _live = WeakValueDictionary()
 
     @classmethod
@@ -103,12 +103,9 @@ class _Interned(_Frozen):
             self = object.__new__(cls)
             for name, value in zip(cls._fields, fields):
                 _set(self, name, value)
-            _set(self, "_hash", hash(fields))
             self._seal(*args, **kwargs)
             cls._live[key] = self
         return self
 
     __eq__ = object.__eq__
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = object.__hash__

@@ -20,10 +20,10 @@ class OrdinalError(ArithmeticError):
 class Cnf(_Interned):
     """Ordinal in Cantor normal form: tuple of (exponent, coefficient) pairs.
 
-    Interned (`_Interned`), so equal ordinals are one object and `==` is `is`
-    however deep their exponents nest. A new ordinal is checked, and its hash
-    hash((summands,)) computed, once, when it is first built; its rendering
-    by `print_cnf` the first time it is asked for."""
+    Interned (`_Interned`), so equal ordinals are one object, and `==` and the
+    hash are identity however deep their exponents nest. A new ordinal is
+    checked once, when it is first built; its rendering by `print_cnf` the
+    first time it is asked for."""
 
     __slots__ = ("summands", "_text")
 

@@ -16,7 +16,7 @@ Constructors:
                              densely into the gaps
   Sum(parts)                 disjoint clopen union
 
-Each term sets its hash, size, colors, countability and perfectness when it is
+Each term sets its size, colors, countability and perfectness when it is
 built, from its own fields and the facts its children already hold, so
 `term_size`, `colors_of`, `has_genus`, `is_countable` and `is_perfect` read a
 stored value and never walk the term.
@@ -34,6 +34,7 @@ from .ordinals import Cnf, ZERO, add, from_nat, mul_nat, omega_pow
 class Color(enum.Enum):
     PLANAR = "planar"
     GENUS = "genus"
+    __hash__ = object.__hash__  # each member is a singleton
 
     def __str__(self) -> str:
         return self.value
@@ -56,11 +57,11 @@ class NotAllPlanar(ValueError):
 
 
 # Terms are interned (`_Interned`): equal terms are one object, so `==` is
-# `is` and a components tuple compares element by element by identity. Each
-# term computes its facts once, when it is first built, from its own fields and
-# its children's facts: the size, the colors (a mask of `_BIT` values), whether
-# it is countable and whether it is perfect. Its rendering is computed the
-# first time `pretty` asks.
+# `is`, and a components tuple compares and hashes element by element by
+# identity. Each term computes its facts once, when it is first built, from
+# its own fields and its children's facts: the size, the colors (a mask of
+# `_BIT` values), whether it is countable and whether it is perfect. Its
+# rendering is computed the first time `pretty` asks.
 _BIT = {Color.PLANAR: 1, Color.GENUS: 2}
 _COLOR_SETS = tuple(frozenset(c for c in Color if mask & _BIT[c]) for mask in range(4))
 

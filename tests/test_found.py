@@ -5,17 +5,21 @@ that reports the fault. The fix that mends a fault makes its test pass, which
 a strict marker turns into a failure until the fix also removes the marker;
 the test then stays as the fix's regression test. Open lines that are not
 here yet: R3 and the family row, whose right answers wait on ROADMAP items 2
-and 6; the slow refusals, which wait on item 16's work budget; and the
-isolated counts in Cantor dust, the `check_annuli` unions and the
+and 6; the slow oracle refusal, which waits on item 16's work budget; and
+the isolated counts in Cantor dust, the `check_annuli` unions and the
 left-nested mix.
 """
 
 import cProfile
 import json
+import os
 import pstats
+import subprocess
+import sys
 
 import pytest
 
+import endscope
 from endscope.cli import run
 
 
@@ -104,3 +108,17 @@ def _bits_steps(tmp_path, capsys, n: int) -> int:
 def test_the_predecessor_walk_grows_at_most_linearly_in_the_rank_rows(tmp_path, capsys):
     steps = [_bits_steps(tmp_path, capsys, n) for n in (100, 200, 400)]
     assert all(b <= 2.5 * a for a, b in zip(steps, steps[1:])), steps
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: verdict of ord(w^(99999999999999)), 24 bytes of input, makes one table row "
+    "per finite rank below the class in a Python loop, about 10^14 of them: it was killed "
+    "at 5 s, at 279-302 MB, where it should exit 65 with one line"))
+def test_a_rank_too_large_to_tabulate_exits_65_within_seconds(tmp_path):
+    f = tmp_path / "in.txt"
+    f.write_text("ord(w^(99999999999999))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(endscope.__file__)))
+    # on timeout, subprocess.run kills the child before it raises
+    proc = subprocess.run([sys.executable, "-m", "endscope", "verdict", str(f)], env=env,
+                          capture_output=True, text=True, timeout=3)
+    assert proc.returncode == 65 and proc.stderr.count("\n") == 1, proc.stderr[-500:]

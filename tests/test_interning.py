@@ -1,8 +1,10 @@
 """Terms and ordinals are interned: two values with equal fields are one
-object, so `==` is `is`, and the table of live values forgets a value that
-nothing else holds."""
+object, so `==` is `is` and the hash is the identity hash, and the table of
+live values forgets a value that nothing else holds."""
 
+import cProfile
 import gc
+import pstats
 import weakref
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from catalog import catalog, cnfs, random_terms, raw_terms
 import endscope
+from endscope.cli import run
 from endscope.germs import canon
 from endscope.normalize import normalize
 from endscope.ordinals import ONE, ZERO, Cnf, OrdinalError, add, from_nat, fundamental, mul_nat
@@ -99,3 +102,19 @@ def test_the_table_forgets_a_term_that_nothing_holds():
     assert ref() is None
     assert len(live) == before
 
+
+def test_a_verdict_makes_no_python_level_hash_call(tmp_path, capsys):
+    # interned values and `Color` hash by identity, in C: a profile of a
+    # verdict that builds and compares thousands of terms shows no `__hash__`
+    # of the package or of `enum` (operation counts gate, wall time reports)
+    text = "pt"
+    for _ in range(50):
+        text = f"mix(pt,{text};g)"
+    f = tmp_path / "mix50.txt"
+    f.write_text(text)
+    prof = cProfile.Profile()
+    assert prof.runcall(run, ["verdict", str(f)]) == 0
+    capsys.readouterr()
+    calls = {f"{path}:{line}": v[1] for (path, line, name), v in pstats.Stats(prof).stats.items()
+             if name == "__hash__" and ("endscope" in path or path.endswith("enum.py"))}
+    assert calls == {}

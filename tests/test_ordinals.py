@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given
 
+from catalog import cnfs
 from endscope.ordinals import (
     ONE,
     OMEGA,
@@ -128,6 +130,32 @@ def test_fundamental_sequence():
             if prev is not None:
                 assert cmp(prev, fk) < 0
             prev = fk
+
+
+def _max_nat(a) -> int:
+    """The largest coefficient anywhere in a, exponents included."""
+    return max((max(c, _max_nat(e)) for e, c in a.summands), default=0)
+
+
+@given(cnfs, cnfs, cnfs)
+def test_fundamental_sequence_of_a_sum_is_increasing_and_cofinal(x, e, b):
+    # a limit of two or more summands: w^(e+1) after a sum that starts higher
+    a = add(add(omega_pow(add(e, from_nat(2))), x), omega_pow(add(e, ONE)))
+    assert len(a.summands) >= 2
+    seq = [fundamental(a, k) for k in range(1, 6)]
+    assert all(cmp(p, q) < 0 for p, q in zip(seq, seq[1:]))
+    assert cmp(seq[-1], a) < 0
+    # each b < a is passed by the element of index one more than b's largest
+    # coefficient; the head of a is below a, so that one must be passed too
+    for below in (Cnf(a.summands[:-1]), b):
+        if cmp(below, a) < 0:
+            assert cmp(below, fundamental(a, _max_nat(below) + 1)) < 0, (a, below)
+
+
+def test_the_fundamental_sequence_keeps_the_head_of_a_sum():
+    w2 = omega_pow(from_nat(2))
+    for k in range(1, 5):
+        assert fundamental(add(w2, OMEGA), k) == add(w2, from_nat(k))
 
 
 def test_fundamental_rejects_non_limits():

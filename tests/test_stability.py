@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 from catalog import catalog
 from endscope.examples_builtin import EXAMPLES
 from endscope.germs import derive_table, from_json
+from endscope.ordinals import OMEGA, from_nat
 from endscope.parser import parse, parse_term
 from endscope.stability import (
     Annulus,
     AnnulusDecomposition,
     Brick,
+    Decomposition,
     NotTelescoping,
     Stable,
     Unknown,
     Unstable,
     _pair,
+    _piece_embeds,
     _row_of_u,
     _unpair,
     annuli,
@@ -28,7 +31,7 @@ from endscope.stability import (
     shift,
     stable_nbhd,
 )
-from endscope.terms import pretty
+from endscope.terms import Ord, pretty
 
 
 def test_every_derived_class_is_stable_on_catalog():
@@ -51,6 +54,23 @@ def test_decomposition_shapes():
     assert _decomposition("cantor()", "cantor()").shape == "shells"
     ml = "mix(cantor^g(),cantor();g)"
     assert _decomposition(ml, "mix(cantor(),cantor^g();g)").shape == "rounds"
+
+
+def test_pieces_that_shrink_fail_every_embedding_obligation(monkeypatch):
+    dec = Decomposition("rank(w)", "rank-blocks", Ord(OMEGA, 1), rank=OMEGA)
+    assert check_decomposition(dec, depth=6) == []
+    # Y_k of rank 100 - k: each piece is too big to embed into the next
+    monkeypatch.setattr(Decomposition, "piece", lambda self, k: Ord(from_nat(100 - k), 1))
+    problems = check_decomposition(dec, depth=6)
+    assert [p for p in problems if p.startswith("no embedding")] == [
+        f"no embedding Y_{k} -> Y_{k + 1}" for k in range(1, 6)]
+
+
+@pytest.mark.parametrize("rank", [from_nat(0), from_nat(3), OMEGA])
+def test_a_piece_embeds_into_one_of_its_rank_and_no_smaller_degree(rank):
+    assert _piece_embeds(Ord(rank, 1), Ord(rank, 2))
+    assert not _piece_embeds(Ord(rank, 2), Ord(rank, 1))
+    assert _piece_embeds(Ord(rank, 2), Ord(rank, 2))
 
 
 def test_family_members_are_stable():
