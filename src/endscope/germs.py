@@ -39,7 +39,7 @@ listed relations are available and no family member is instantiated.
 from __future__ import annotations
 
 import re
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, lru_cache
 
 from . import _Frozen
 from .normalize import _absorb_pass, fixpoint, normalize_structural
@@ -446,7 +446,7 @@ def _collected_rows(t: Term) -> tuple:
     col = _classes(t, False)
     bound = col.bound
     rows = []
-    for b in sorted(col.ranks, key=_BY_RANK):
+    for b in sorted(col.ranks):
         if bound is not None and cmp(b, bound) < 0:
             continue  # covered by the family row
         rows.append(
@@ -466,9 +466,6 @@ def _collected_rows(t: Term) -> tuple:
         color = g.limit_color if isinstance(g, Mix) else g.color
         rows.append(GermClass(pretty(g), col.germs[g], color, g))
     return rows, bound
-
-
-_BY_RANK = cmp_to_key(cmp)
 
 
 def _row_leq(a: GermClass, b: GermClass, bound) -> bool:

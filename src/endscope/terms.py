@@ -16,10 +16,12 @@ Constructors:
                              densely into the gaps
   Sum(parts)                 disjoint clopen union
 
-Each term sets its size, colors, countability and perfectness when it is
-built, from its own fields and the facts its children already hold, so
-`term_size`, `colors_of`, `has_genus`, `is_countable` and `is_perfect` read a
-stored value and never walk the term.
+Each term sets its size, colors, countability, perfectness, validity
+problems and, when it is countable and all planar, its Cantor-Bendixson
+(rank, degree) when it is built, from its own fields and the facts its
+children already hold, so `term_size`, `colors_of`, `has_genus`,
+`is_countable`, `is_perfect`, `validate` and `cb_rank` read a stored value
+and never walk the term.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import enum
 from typing import Union
 
 from . import _Frozen, _Interned, _set
-from .ordinals import Cnf, ZERO, add, from_nat, mul_nat, omega_pow
+from .ordinals import Cnf, ONE, ZERO, add, mul_nat, omega_pow
 
 
 class Color(enum.Enum):
@@ -60,49 +62,75 @@ class NotAllPlanar(ValueError):
 # `is`, and a components tuple compares and hashes element by element by
 # identity. Each term computes its facts once, when it is first built, from
 # its own fields and its children's facts: the size, the colors (a mask of
-# `_BIT` values), whether it is countable and whether it is perfect. Its
-# rendering is computed the first time `pretty` asks.
+# `_BIT` values), whether it is countable and whether it is perfect, its
+# validity problems, and the (rank, degree) of a countable all-planar term.
+# Its rendering is computed the first time `pretty` asks.
 _BIT = {Color.PLANAR: 1, Color.GENUS: 2}
+_PLANAR, _GENUS = _BIT[Color.PLANAR], _BIT[Color.GENUS]
 _COLOR_SETS = tuple(frozenset(c for c in Color if mask & _BIT[c]) for mask in range(4))
+_POINT = (ZERO, 1)
 
 
 class _Node(_Interned):
-    __slots__ = ("_size", "_text", "_colors", "_countable", "_perfect")
+    __slots__ = ("_size", "_text", "_colors", "_countable", "_perfect", "_problems", "_cb")
 
-    def _seal(self, kids=(), colors=0, countable=True, perfect=True):
+    def _seal(self, kids=(), colors=0, countable=True, perfect=True, flaw=None, cb=None):
+        """`colors` is the node's own color bit (0 for a Sum), `flaw` the
+        template of its own problem, if any, and `cb` the (rank, degree) of a
+        leaf; an inner node's comes from its children's."""
         size = 1
+        below = 0
+        problems = ()
         for k in kids:
             size += k._size
-            colors |= k._colors
+            below |= k._colors
             countable = countable and k._countable
             perfect = perfect and k._perfect
+            problems += k._problems
         set_ = _set
         set_(self, "_size", size)
         set_(self, "_text", None)
-        set_(self, "_colors", colors)
+        set_(self, "_colors", colors | below)
         set_(self, "_countable", countable)
         set_(self, "_perfect", perfect)
+        if colors == _PLANAR and below & _GENUS:  # a planar Mix or Cantor over genus
+            flaw = "genus closedness violated at {}"
+        if flaw is not None:  # the node's own problem comes before its children's
+            problems = (flaw.format(pretty(self)),) + problems
+        set_(self, "_problems", problems)
+        if not countable or (colors | below) & _GENUS:
+            cb = None
+        elif cb is None:
+            top = max((k._cb[0] for k in kids), default=ZERO)
+            if colors:  # a Mix: one limit point over its components
+                cb = add(top, ONE), 1
+            else:  # a Sum: the highest rank wins; degrees merge at the top rank
+                cb = top, sum(k._cb[1] for k in kids if k._cb[0] is top)
+        set_(self, "_cb", cb)
 
 
 class Pt(_Node):
     __slots__ = ("color",)
 
     def __new__(cls, color: Color = Color.PLANAR):
-        return cls._make((color,), colors=_BIT[color], perfect=False)
+        return cls._make((color,), colors=_BIT[color], perfect=False, cb=_POINT)
 
 
 class Ord(_Node):
     __slots__ = ("rank", "degree")
 
     def __new__(cls, rank: Cnf, degree: int):
-        return cls._make((rank, degree), colors=_BIT[Color.PLANAR], perfect=False)
+        flaw = "degree must be >= 1 at {}" if degree < 1 else None
+        return cls._make((rank, degree), colors=_PLANAR, perfect=False, flaw=flaw,
+                         cb=(rank, degree))
 
 
 class Mix(_Node):
     __slots__ = ("components", "limit_color")
 
     def __new__(cls, components: tuple, limit_color: Color):
-        return cls._make((components, limit_color), components, _BIT[limit_color])
+        flaw = None if components else "mix needs at least one component"
+        return cls._make((components, limit_color), components, _BIT[limit_color], flaw=flaw)
 
 
 class Cantor(_Node):
@@ -116,7 +144,8 @@ class Sum(_Node):
     __slots__ = ("parts",)
 
     def __new__(cls, parts: tuple):
-        return cls._make((parts,), parts)
+        flaw = "sum needs at least two parts" if len(parts) < 2 else None
+        return cls._make((parts,), parts, flaw=flaw)
 
 
 Term = Union[Pt, Ord, Mix, Cantor, Sum]
@@ -186,7 +215,7 @@ def colors_of(t: Term) -> frozenset:
 
 
 def has_genus(t: Term) -> bool:
-    return bool(t._colors & _BIT[Color.GENUS])
+    return bool(t._colors & _GENUS)
 
 
 def is_countable(t: Term) -> bool:
@@ -204,40 +233,9 @@ def is_perfect(t: Term) -> bool:
 
 
 def validate(t: Term) -> list:
-    """Check every structural invariant; returns a list of violations."""
-    out = []
-
-    def walk(u):
-        if isinstance(u, Pt):
-            return
-        if isinstance(u, Ord):
-            if u.degree < 1:
-                out.append(f"degree must be >= 1 at {pretty(u)}")
-            return
-        if isinstance(u, Mix):
-            if not u.components:
-                out.append("mix needs at least one component")
-            if u.limit_color is not Color.GENUS and has_genus(u):
-                out.append(f"genus closedness violated at {pretty(u)}")
-            for c in u.components:
-                walk(c)
-            return
-        if isinstance(u, Cantor):
-            if u.color is not Color.GENUS and has_genus(u):
-                out.append(f"genus closedness violated at {pretty(u)}")
-            for c in u.components:
-                walk(c)
-            return
-        if isinstance(u, Sum):
-            if len(u.parts) < 2:
-                out.append("sum needs at least two parts")
-            for p in u.parts:
-                walk(p)
-            return
-        out.append(f"unknown node {u!r}")
-
-    walk(t)
-    return out
+    """Every violated structural invariant, the node's own before its
+    children's, in order; read from the term, not walked."""
+    return list(t._problems)
 
 
 def require_valid(t: Term) -> None:
@@ -269,19 +267,4 @@ def cb_rank(t: Term):
         raise NotCountable(pretty(t))
     if has_genus(t):
         raise NotAllPlanar(pretty(t))
-    return _cb(t)
-
-
-def _cb(t: Term):
-    if isinstance(t, Pt):
-        return ZERO, 1
-    if isinstance(t, Ord):
-        return t.rank, t.degree
-    if isinstance(t, Mix):
-        top = max((_cb(c)[0] for c in t.components), default=ZERO)
-        return add(top, from_nat(1)), 1
-    # Sum: highest rank wins; degrees merge at the top rank
-    ranked = [_cb(p) for p in t.parts]
-    top = max(r for r, _ in ranked)
-    degree = sum(n for r, n in ranked if r is top)
-    return top, degree
+    return t._cb

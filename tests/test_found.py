@@ -4,8 +4,7 @@ Each test is a strict xfail whose reason is the `FOUND:` line of CHANGES.md
 that reports the fault. The fix that mends a fault makes its test pass, which
 a strict marker turns into a failure until the fix also removes the marker;
 the test then stays as the fix's regression test. Open lines that are not
-here yet: R3 and the family row, whose right answers wait on ROADMAP items 2
-and 6; the slow oracle refusal, which waits on item 16's work budget; and
+here yet: the family row, whose right answer waits on ROADMAP item 6; and
 the isolated counts in Cantor dust, the `check_annuli` unions and the
 left-nested mix.
 """
@@ -21,6 +20,17 @@ import pytest
 
 import endscope
 from endscope.cli import run
+from endscope.germs import emb
+from endscope.parser import parse_term
+from endscope.terms import Cantor
+
+
+def _endscope(argv, timeout):
+    """`python -m endscope *argv` in a fresh process, killed after `timeout`
+    seconds: `subprocess.run` kills the child before it raises."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(endscope.__file__)))
+    return subprocess.run([sys.executable, "-m", "endscope", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def _classify(tmp_path, capsys, text) -> dict:
@@ -117,8 +127,35 @@ def test_the_predecessor_walk_grows_at_most_linearly_in_the_rank_rows(tmp_path, 
 def test_a_rank_too_large_to_tabulate_exits_65_within_seconds(tmp_path):
     f = tmp_path / "in.txt"
     f.write_text("ord(w^(99999999999999))")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(endscope.__file__)))
-    # on timeout, subprocess.run kills the child before it raises
-    proc = subprocess.run([sys.executable, "-m", "endscope", "verdict", str(f)], env=env,
-                          capture_output=True, text=True, timeout=3)
+    proc = _endscope(["verdict", str(f)], timeout=3)
     assert proc.returncode == 65 and proc.stderr.count("\n") == 1, proc.stderr[-500:]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: oracle --compare 'ord(w^(w^(300)))' 'ord(w^(w^(300)))' --depth 256 is refused "
+    "only after 14-20 s: the ranks stay infinite for all 256 levels, so few (rank, budget) "
+    "memo keys repeat, and the fold makes 329,050 ordinals.fundamental calls and stores "
+    "207,843 facts before its total passes 250,000"))
+def test_the_oracle_refuses_a_deep_infinite_rank_within_seconds():
+    tower = "ord(w^(w^(300)))"
+    proc = _endscope(["oracle", "--compare", tower, tower, "--depth", "256"], timeout=3)
+    assert proc.returncode == 65 and proc.stderr.count("\n") == 1, proc.stderr[-500:]
+
+
+def _germs(doc) -> list:
+    """The germs of a `classify` document's classes: every id but the rank and
+    family ids is its germ's rendering."""
+    return [parse_term(c["id"]) for c in doc["classes"] if not c["id"].startswith("rank(")]
+
+
+# ROADMAP item 2, which makes every rewrite sound, decides the fix. The test
+# checks item 9's clopen law, which any fix keeps: a clopen copy of cantor()
+# sits inside the term, so some class is cantor() up to embedding both ways.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: rewrite R3 in normalize._pass is unsound: it dissolves a same-colored Cantor "
+    "child into its parent, so cantor(cantor(),pt) becomes cantor(ord(1)) and classify "
+    "lists only cantor(ord(1)) and rank(0), yet the term densely inserts clopen copies of "
+    "cantor(); classify of sum(cantor(),cantor(pt)) lists cantor()"))
+def test_a_cantor_set_inside_a_cantor_set_keeps_its_class(tmp_path, capsys):
+    germs = _germs(_classify(tmp_path, capsys, "cantor(cantor(),pt)"))
+    assert any(emb(g, Cantor()) and emb(Cantor(), g) for g in germs), germs

@@ -33,7 +33,7 @@ from endscope.germs import (
     to_json,
 )
 from endscope.ordinals import ONE, OMEGA, ZERO, Cnf, add, from_nat, mul_nat, omega_pow, print_cnf
-from endscope.parser import Token, lex, parse, parse_term
+from endscope.parser import MAX_NESTING, Token, lex, parse, parse_term
 from endscope.stability import (
     Annulus,
     AnnulusDecomposition,
@@ -158,6 +158,133 @@ def test_ord_degree_validated():
     # pretty of every catalog term mentions no spaces
     for t in catalog():
         assert " " not in pretty(t)
+
+
+# ---------------------------------------------------------------------------
+# validity and the Cantor-Bendixson rank are facts each term sets when it is
+# built, checked against the recursive walks they replace
+
+_G, _P = Color.GENUS, Color.PLANAR
+
+
+def _walked_problems(t) -> list:
+    if isinstance(t, Pt):
+        return []
+    if isinstance(t, Ord):
+        return [f"degree must be >= 1 at {pretty(t)}"] if t.degree < 1 else []
+    if isinstance(t, Sum):
+        own = ["sum needs at least two parts"] if len(t.parts) < 2 else []
+        return own + [m for p in t.parts for m in _walked_problems(p)]
+    color = t.limit_color if isinstance(t, Mix) else t.color
+    own = ["mix needs at least one component"] if isinstance(t, Mix) and not t.components else []
+    if color is _P and has_genus(t):
+        own.append(f"genus closedness violated at {pretty(t)}")
+    return own + [m for c in t.components for m in _walked_problems(c)]
+
+
+def _walked_cb(t):
+    if isinstance(t, Pt):
+        return ZERO, 1
+    if isinstance(t, Ord):
+        return t.rank, t.degree
+    if isinstance(t, Mix):
+        return add(max((_walked_cb(c)[0] for c in t.components), default=ZERO), ONE), 1
+    ranked = [_walked_cb(p) for p in t.parts]
+    top = max(r for r, _ in ranked)
+    return top, sum(n for r, n in ranked if r == top)
+
+
+# every constructor with any number of children and any degree, so every
+# invalid kind appears, at any depth
+_any_terms = st.recursive(
+    st.one_of(st.builds(Pt, st.sampled_from([_P, _G])), st.builds(Ord, cnfs, st.integers(0, 2))),
+    lambda kids: st.one_of(
+        st.builds(Mix, st.lists(kids, max_size=3).map(tuple), st.sampled_from([_P, _G])),
+        st.builds(Cantor, st.lists(kids, max_size=2).map(tuple), st.sampled_from([_P, _G])),
+        st.builds(Sum, st.lists(kids, max_size=3).map(tuple)),
+    ),
+    max_leaves=10,
+)
+
+
+def test_validation_lists_each_invalid_subterm_own_problem_first():
+    closed_mix = Mix((Cantor((Pt(_G),), _P),), _P)  # both fail genus closedness
+    t = Sum((closed_mix, Sum((Ord(ONE, 0),)), Mix((), _G), Pt(_G)))
+    assert validate(t) == [
+        "genus closedness violated at mix(cantor(pt^g);planar)",
+        "genus closedness violated at cantor(pt^g)",
+        "sum needs at least two parts",
+        "degree must be >= 1 at ord(0)",
+        "mix needs at least one component",
+    ]
+    with pytest.raises(ValidationError) as err:
+        require_valid(Mix((t,), _G))
+    assert str(err.value) == "; ".join(validate(t))
+
+
+def test_empty_sums_and_mixes_construct():
+    assert validate(Sum(())) == ["sum needs at least two parts"]
+    assert validate(Mix((), _P)) == ["mix needs at least one component"]
+    assert validate(Mix((), _G)) == ["mix needs at least one component"]
+    assert validate(Cantor(())) == []
+
+
+@given(_any_terms)
+def test_validity_and_rank_are_the_walked_ones(t):
+    assert validate(t) == _walked_problems(t)
+    if not validate(t) and is_countable(t) and not has_genus(t):
+        assert cb_rank(t) == _walked_cb(t)
+
+
+def test_cb_rank_is_the_closed_form_on_countable_planar_catalog_terms():
+    countable = [t for t in catalog() if is_countable(t) and not has_genus(t)]
+    assert len(countable) > 10
+    for t in countable:
+        assert cb_rank(t) == _walked_cb(t), pretty(t)
+    # n wraps of mix(pt,-;planar) around pt: rank n, one point on top
+    for n in (1, 2, 7, MAX_NESTING - 1):
+        assert cb_rank(parse_term(_wrapped("mix(pt,{};planar)", n))) == (from_nat(n), 1)
+    # k copies of ord(w^a) side by side: rank a, degree k
+    for lit, k in (("w", 2), ("w^(w)", 3), ("w^(w+1)*2", 2)):
+        rank, degree = cb_rank(parse_term(f"ord({lit})"))
+        assert cb_rank(Sum((parse_term(f"ord({lit})"),) * k)) == (rank, degree * k)
+
+
+def _wrapped(wrap: str, n: int) -> str:
+    text = "pt"
+    for _ in range(n):
+        text = wrap.format(text)
+    return text
+
+
+def _python_calls(run) -> int:
+    """The Python-level function calls that `run()` makes, itself included."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("wrap, check", [
+    ("mix(pt,{};g)", require_valid),
+    ("mix(pt,{};planar)", cb_rank),
+])
+def test_validity_and_rank_read_the_term_without_walking_it(wrap, check):
+    # the deepest input the parser accepts costs what one wrap does
+    counts = []
+    for n in (1, MAX_NESTING - 1):
+        term = parse_term(_wrapped(wrap, n))
+        counts.append(_python_calls(lambda: check(term)))
+    assert counts[0] == counts[1] <= 5, counts
 
 
 # ---------------------------------------------------------------------------
